@@ -75,23 +75,32 @@ def scan_views(expr: Expr) -> Iterator[str]:
 
 
 def replace_scans(expr: Expr, mapping: dict[str, Expr]) -> Expr:
+    """Substitute expressions for scan leaves.  Every subtree holding no
+    replaced scan is returned as the same object, so a patched tree shares
+    its untouched parts with the original."""
     if isinstance(expr, Scan):
         return mapping.get(expr.view, expr)
     if isinstance(expr, Select):
-        return Select(replace_scans(expr.child, mapping), expr.left, expr.right)
+        child = replace_scans(expr.child, mapping)
+        return expr if child is expr.child else Select(child, expr.left, expr.right)
     if isinstance(expr, Project):
-        return Project(replace_scans(expr.child, mapping), expr.columns)
-    if isinstance(expr, NatJoin):
-        return NatJoin(replace_scans(expr.left, mapping), replace_scans(expr.right, mapping))
-    if isinstance(expr, ThetaJoin):
-        return ThetaJoin(
-            replace_scans(expr.left, mapping),
-            replace_scans(expr.right, mapping),
-            expr.pairs,
-        )
+        child = replace_scans(expr.child, mapping)
+        return expr if child is expr.child else Project(child, expr.columns)
     if isinstance(expr, Rename):
-        return Rename(replace_scans(expr.child, mapping), expr.mapping)
-    return UnionOp(tuple(replace_scans(c, mapping) for c in expr.children))
+        child = replace_scans(expr.child, mapping)
+        return expr if child is expr.child else Rename(child, expr.mapping)
+    if isinstance(expr, (NatJoin, ThetaJoin)):
+        left = replace_scans(expr.left, mapping)
+        right = replace_scans(expr.right, mapping)
+        if left is expr.left and right is expr.right:
+            return expr
+        if isinstance(expr, NatJoin):
+            return NatJoin(left, right)
+        return ThetaJoin(left, right, expr.pairs)
+    children = tuple(replace_scans(c, mapping) for c in expr.children)
+    if all(new is old for new, old in zip(children, expr.children)):
+        return expr
+    return UnionOp(children)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .reasoning import (
     reformulate_views_for_materialization,
     saturate,
 )
-from .search import STRATEGIES, SearchConfig, SearchResult, run_search
+from .search import STRATEGIES, SearchConfig, SearchResult, check_config, run_search
 from .states import MODES, TransitionContext, initial_state
 from .stats import WorkloadStatistics, collect_statistics
 from .store import Relation, StoreError, TripleStore, dump_triples, load_triples, materialize
@@ -252,6 +252,18 @@ def _relation_tsv(rel: Relation) -> str:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    config = SearchConfig(
+        strategy=args.strategy,
+        avf=args.avf,
+        stop_tt=args.stop_tt,
+        stop_var=args.stop_var,
+        timeout=args.timeout,
+        max_states=args.max_states,
+    )
+    try:
+        check_config(config)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     store = load_store_file(args.triples)
     schema = load_schema_file(args.schema) if args.schema else None
     _require_schema(args.mode, schema)
@@ -264,15 +276,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         cs=args.cs, cr=args.cr, cm=args.cm, c1=args.c1, c2=args.c2, f=args.f
     )
     estimator = Estimator(stats, weights)
-    config = SearchConfig(
-        strategy=args.strategy,
-        avf=args.avf,
-        stop_tt=args.stop_tt,
-        stop_var=args.stop_var,
-        timeout=args.timeout,
-        max_states=args.max_states,
-        seed=args.seed,
-    )
     result = run_search(initial, estimator, ctx, config)
 
     doc = result_document(queries, result, args.mode, schema, config, weights)
@@ -415,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop expanding states whose views hold no constants")
     p.add_argument("--timeout", type=float, help="search budget in seconds")
     p.add_argument("--max-states", type=int,
-                   help="keep at most this many frontier states (best first)")
+                   help="keep at most this many frontier states (best first); "
+                        "exnaive and gstr only, rejected with exit 2 otherwise")
     p.add_argument("--cs", type=float, default=1.0, help="space cost weight")
     p.add_argument("--cr", type=float, default=1.0, help="rewriting cost weight")
     p.add_argument("--cm", type=float, default=0.5, help="maintenance cost weight")
     p.add_argument("--c1", type=float, default=1.0, help="io weight inside rewriting cost")
     p.add_argument("--c2", type=float, default=1.0, help="cpu weight inside rewriting cost")
     p.add_argument("--f", type=float, default=2.0, help="maintenance base per view atom")
-    p.add_argument("--seed", type=int, help="search tie-break seed")
     p.add_argument("--out", help="write the tune document here instead of stdout")
     p.add_argument("--trace", help="write an improvement trace CSV here")
     p.set_defaults(func=cmd_tune)

@@ -17,11 +17,20 @@ count; selections cost their input rows; hash joins cost input plus output
 rows; projections and renames are free.  These choices make a selection cut
 never decrease, and a view fusion never increase, the total cost, which the
 search relies on.
+
+A transition changes a few views and the rewritings that scan them; the rest
+of the child state is the parent's own objects.  state_cost therefore
+memoizes each view's space and maintenance terms by the view and each
+rewriting's cost by the identity of its tree, checked against the identity
+of the views that tree scans.  A child state pays only for what its
+transition changed, and the terms are summed in the same order as a full
+recomputation, so the totals are the same to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from .algebra import (
@@ -33,6 +42,7 @@ from .algebra import (
     Select,
     ThetaJoin,
     UnionOp,
+    scan_views,
 )
 from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var
 from .states import State
@@ -93,7 +103,16 @@ class Estimator:
         self.stats = stats
         self.weights = weights or CostWeights()
         self._row_cache: dict[tuple[TripleAtom, ...], float] = {}
-        self._state_cache: dict[int, CostBreakdown] = {}
+        # by state object: uids restart with every TransitionContext
+        self._state_cache: weakref.WeakKeyDictionary[State, CostBreakdown] = (
+            weakref.WeakKeyDictionary()
+        )
+        # view -> (vso term, vmc term)
+        self._view_terms: dict[ConjunctiveQuery, tuple[float, float]] = {}
+        # id(tree) -> (tree, the views it scans, its cost)
+        self._rewriting_costs: dict[
+            int, tuple[Expr, tuple[ConjunctiveQuery, ...], float]
+        ] = {}
 
     # -- cardinality ------------------------------------------------------
 
@@ -221,23 +240,39 @@ class Estimator:
     # -- state cost -------------------------------------------------------
 
     def state_cost(self, state: State) -> CostBreakdown:
-        cached = self._state_cache.get(state.uid)
+        cached = self._state_cache.get(state)
         if cached is not None:
             return cached
         w = self.weights
         vso = 0.0
         vmc = 0.0
         for v in state.views:
-            vso += self.view_rows(v) * self.view_width(v)
-            vmc += math.pow(w.f, len(v.body))
+            terms = self._view_terms.get(v)
+            if terms is None:
+                terms = (self.view_rows(v) * self.view_width(v), math.pow(w.f, len(v.body)))
+                self._view_terms[v] = terms
+            vso += terms[0]
+            vmc += terms[1]
         by_name = {v.name: v for v in state.views}
         rec = 0.0
         for r in state.rewritings:
-            rec += self.rewriting_cost(r.expr, by_name)
+            rec += self._memo_rewriting_cost(r.expr, by_name)
         total = w.cs * vso + w.cr * rec + w.cm * vmc
         out = CostBreakdown(vso, rec, vmc, total)
-        self._state_cache[state.uid] = out
+        self._state_cache[state] = out
         return out
+
+    def _memo_rewriting_cost(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> float:
+        """rewriting_cost, reused while the tree and every view it scans are
+        the same objects as when it was costed.  An entry holds its tree, so
+        no other tree can take over its id."""
+        entry = self._rewriting_costs.get(id(expr))
+        if entry is not None and all(views.get(v.name) is v for v in entry[1]):
+            return entry[2]
+        cost = self.rewriting_cost(expr, views)
+        scanned = tuple(views[name] for name in dict.fromkeys(scan_views(expr)))
+        self._rewriting_costs[id(expr)] = (expr, scanned, cost)
+        return cost
 
     def total(self, state: State) -> float:
         return self.state_cost(state).total

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class QueryError(ValueError):
@@ -106,6 +106,16 @@ class ConjunctiveQuery:
     name: str
     head: tuple[Term, ...]
     body: tuple[TripleAtom, ...]
+
+    # Hashed once per object: queries key the canonical-form caches here and
+    # the cost caches, and the default dataclass hash would walk every atom
+    # and term on each lookup.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.head, self.body))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def variables(self) -> list[Var]:
         seen: dict[Var, None] = {}
@@ -517,8 +527,8 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> str:
             budget *= size
             perm_sets.append(list(itertools.permutations(g)))
         else:
-            # beyond the budget symmetric groups keep their stable order;
-            # equality then falls back to the equivalence check
+            # beyond the budget a symmetric group keeps its stable (body)
+            # order, so isomorphic queries may then get different keys
             perm_sets.append([tuple(g)])
     best: str | None = None
     for combo in itertools.product(*perm_sets):
@@ -535,11 +545,20 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> str:
 def canonical_key(q: ConjunctiveQuery) -> str:
     """Serialization invariant under variable renaming and atom reordering.
 
-    Equal keys imply equivalent queries with positionally matching heads;
-    the reverse holds for queries whose symmetric atom groups fit the
-    permutation budget, which covers every size this engine searches over.
+    Equal keys imply equivalent queries with positionally matching heads.
+    The reverse holds only while the symmetric atom groups left after
+    refinement fit the permutation budget; beyond it a group keeps a stable
+    order and two isomorphic queries can get different keys.  There is no
+    fallback check.
     """
     return _canonical(q, ordered_head=True)
+
+
+# The two keys below ignore the query's name and are cached by structure, so
+# a view that only got a fresh name is not canonicalised again.  view_key,
+# which every new state asks of each of its views, is also cached by the
+# query object, whose hash is computed once: that saves hashing the whole
+# structure on each call.
 
 
 @lru_cache(maxsize=200_000)
@@ -549,13 +568,22 @@ def view_key(q: ConjunctiveQuery) -> str:
     Two views that differ only in head ordering store the same columns, so
     state signatures treat them as the same view.
     """
-    return _canonical(q, ordered_head=False)
+    return _view_key(q.head, q.body)
 
 
 @lru_cache(maxsize=200_000)
+def _view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
+    return _canonical(ConjunctiveQuery("", head, body), ordered_head=False)
+
+
 def canonical_body_key(q: ConjunctiveQuery) -> str:
     """Canonical form of the body alone (head ignored)."""
-    return _canonical(ConjunctiveQuery("", (), q.body), ordered_head=True)
+    return _body_key(q.body)
+
+
+@lru_cache(maxsize=200_000)
+def _body_key(body: tuple[TripleAtom, ...]) -> str:
+    return _canonical(ConjunctiveQuery("", (), body), ordered_head=True)
 
 
 # ---------------------------------------------------------------------------

@@ -334,14 +334,6 @@ def atom_as_query(a: TripleAtom, name: str = "pattern") -> ConjunctiveQuery:
     return ConjunctiveQuery(name, tuple(head), (a,))
 
 
-def reformulate_atom_count(a: TripleAtom, schema: Schema, store: TripleStore) -> int:
-    """Cardinality the atom pattern would have over the saturated store,
-    computed by evaluating its reformulation over the raw store."""
-    from .store import evaluate
-
-    return len(evaluate(reformulate(atom_as_query(a), schema), store))
-
-
 def reformulate_views_for_materialization(
     views: list[ConjunctiveQuery], schema: Schema
 ) -> list[UnionQuery]:

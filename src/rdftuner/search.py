@@ -16,7 +16,11 @@ deterministic tie-break of (cost, number of views, signature).
   gstr     greedy stratified: keeps only the cheapest state of each stratum.
 
 Aggressive view fusion (avf) closes every newly created state under fusion
-before admitting it, discarding the intermediates.
+before admitting it, discarding the intermediates.  The timeout is checked
+inside each closure too, except the initial state's.
+
+max_states keeps the cheapest states of the frontier of exnaive and of each
+gstr stratum; exstr and dfs have no frontier to cut and reject it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ class SearchConfig:
     stop_tt: bool = False
     stop_var: bool = False
     timeout: float | None = None
-    max_states: int | None = None
-    seed: int | None = None  # reserved for tie shuffling; search is deterministic
+    max_states: int | None = None  # exnaive and gstr only
     on_transition: Callable[[str, State, State], None] | None = None
 
 
@@ -68,6 +71,8 @@ class SearchResult:
 
 
 STRATEGIES = ("exnaive", "exstr", "dfs", "gstr")
+# the strategies with a frontier that max_states bounds
+BOUNDED_STRATEGIES = ("exnaive", "gstr")
 
 
 def is_triple_table(state: State) -> bool:
@@ -143,25 +148,31 @@ class _Run:
         if self.cfg.on_transition is not None:
             self.cfg.on_transition(kind, parent, child)
 
-    def _fusion_closure(self, state: State) -> State:
+    def _fusion_closure(self, state: State, bounded: bool = True) -> State | None:
         """Fuse pairs of isomorphic views to a fixpoint.  The states along
         the way are applied transitions and discards, but only the fixpoint
-        ever counts as created: it alone enters the candidate space."""
+        ever counts as created: it alone enters the candidate space.
+
+        A bounded closure checks the deadline before costing each fusion
+        and returns None once time is up; a partial closure is never
+        memoized."""
         memo = self._avf_memo.get(state.signature)
         if memo is not None:
             return memo
         start_sig = state.signature
         cur = state
         while True:
-            choices = list(iter_transitions(cur, self.ctx, ("VF",)))
-            if not choices:
-                break
             # several fusions (or head layouts) may apply; commit to the
-            # cheapest so aggressive fusion never worsens the best cost
-            tr = min(
-                choices,
-                key=lambda t: (self.est.state_cost(t.state).total, t.state.signature),
-            )
+            # first cheapest so aggressive fusion never worsens the best cost
+            tr = best_key = None
+            for choice in iter_transitions(cur, self.ctx, ("VF",)):
+                if bounded and self.out_of_time():
+                    return None
+                key = (self.est.state_cost(choice.state).total, choice.state.signature)
+                if best_key is None or key < best_key:
+                    tr, best_key = choice, key
+            if tr is None:
+                break
             self.transitions += 1
             self._observe("VF", cur, tr.state)
             self.discarded += 1
@@ -169,11 +180,17 @@ class _Run:
         self._avf_memo[start_sig] = cur
         return cur
 
-    def admit(self, state: State) -> tuple[State, bool]:
+    def admit(self, state: State, bounded: bool = True) -> tuple[State, bool]:
         """Dedup (and fusion-close) a reached state.  Returns the canonical
-        state object and whether it is new and expandable."""
+        state object and whether it is new and expandable.  A state whose
+        closure ran out of time is returned unrecorded and not expandable.
+        The initial state is admitted unbounded, so a zero-budget --avf run
+        returns the fusion-closed root."""
         if self.cfg.avf:
-            state = self._fusion_closure(state)
+            closed = self._fusion_closure(state, bounded)
+            if closed is None:
+                return state, False
+            state = closed
         existing = self.seen.get(state.signature)
         if existing is not None:
             self.duplicates += 1
@@ -215,7 +232,7 @@ class _Run:
         return (cost.total, len(state.views), state.signature)
 
     def run_exnaive(self) -> SearchResult:
-        root, expandable = self.admit(self.initial)
+        root, expandable = self.admit(self.initial, bounded=False)
         heap: list[tuple] = []
         if expandable:
             heapq.heappush(heap, self._priority(root) + (root,))
@@ -246,7 +263,7 @@ class _Run:
         return self.result()
 
     def run_exstr(self) -> SearchResult:
-        root, _ = self.admit(self.initial)
+        root, _ = self.admit(self.initial, bounded=False)
         order: list[State] = [root]
         order_sigs = {root.signature}
         for kind in KINDS:
@@ -273,7 +290,7 @@ class _Run:
         return self.result()
 
     def run_dfs(self) -> SearchResult:
-        root, expandable = self.admit(self.initial)
+        root, expandable = self.admit(self.initial, bounded=False)
         expanded: dict[tuple[str, ...], int] = {}
 
         def jobs(state: State, j0: int):
@@ -312,7 +329,7 @@ class _Run:
         return self.result()
 
     def run_gstr(self) -> SearchResult:
-        current, _ = self.admit(self.initial)
+        current, _ = self.admit(self.initial, bounded=False)
         for kind in KINDS:
             if self.timed_out or self.out_of_time():
                 break
@@ -347,6 +364,18 @@ class _Run:
         return self.result()
 
 
+def check_config(cfg: SearchConfig) -> None:
+    """Raise ValueError for a strategy that does not exist or a limit the
+    strategy would not honour."""
+    if cfg.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    if cfg.max_states is not None and cfg.strategy not in BOUNDED_STRATEGIES:
+        raise ValueError(
+            f"max_states (--max-states) caps the frontier of "
+            f"{' and '.join(BOUNDED_STRATEGIES)} only; {cfg.strategy} has none to cap"
+        )
+
+
 def run_search(
     initial: State,
     estimator: Estimator,
@@ -354,8 +383,7 @@ def run_search(
     config: SearchConfig | None = None,
 ) -> SearchResult:
     cfg = config or SearchConfig()
-    if cfg.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    check_config(cfg)
     run = _Run(initial, estimator, ctx, cfg)
     return {
         "exnaive": run.run_exnaive,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import (
     Expr,
@@ -67,12 +68,6 @@ class State:
     def __post_init__(self) -> None:
         sig = tuple(sorted(view_key(v) for v in self.views))
         object.__setattr__(self, "signature", sig)
-
-    def view_named(self, name: str) -> ConjunctiveQuery:
-        for v in self.views:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def __repr__(self) -> str:
         return f"State(uid={self.uid}, views={[v.name for v in self.views]})"
@@ -167,10 +162,17 @@ def initial_state(
 def _patched(state: State, ctx: TransitionContext, slot: int,
              replacement: list[ConjunctiveQuery], mapping: dict[str, Expr]) -> State:
     views = state.views[:slot] + tuple(replacement) + state.views[slot + 1 :]
-    rewritings = tuple(
-        Rewriting(r.query_name, replace_scans(r.expr, mapping)) for r in state.rewritings
-    )
-    return State(views, rewritings, ctx.next_uid())
+    return State(views, _patch_rewritings(state, mapping), ctx.next_uid())
+
+
+def _patch_rewritings(state: State, mapping: dict[str, Expr]) -> tuple[Rewriting, ...]:
+    """The state's rewritings with scans replaced; a rewriting that scans
+    no replaced view is kept as the same object, tree and all."""
+    out = []
+    for r in state.rewritings:
+        expr = replace_scans(r.expr, mapping)
+        out.append(r if expr is r.expr else Rewriting(r.query_name, expr))
+    return tuple(out)
 
 
 def _var_names(view: ConjunctiveQuery) -> set[str]:
@@ -311,9 +313,22 @@ def view_breaks(state: State, slot: int, ctx: TransitionContext):
                     )
 
 
+@lru_cache(maxsize=200_000)
+def _constant_pattern(view: ConjunctiveQuery) -> tuple:
+    """Sorted per-atom constants, a cheap invariant of the body's
+    isomorphism class: equal canonical body keys imply equal patterns."""
+    return tuple(sorted(
+        tuple((t.symbol,) if isinstance(t, Const) else () for t in a.terms)
+        for a in view.body
+    ))
+
+
 def view_fusions(state: State, ctx: TransitionContext):
+    patterns = [_constant_pattern(v) for v in state.views]
     for i, j in itertools.combinations(range(len(state.views)), 2):
         v1, v2 = state.views[i], state.views[j]
+        if patterns[i] != patterns[j]:
+            continue
         if canonical_body_key(v1) != canonical_body_key(v2):
             continue
         isos = bodies_isomorphic(v1, v2, find_all=True)
@@ -359,11 +374,7 @@ def view_fusions(state: State, ctx: TransitionContext):
                 + state.views[i + 1 : j]
                 + state.views[j + 1 :]
             )
-            mapping = {v1.name: expr1, v2.name: expr2}
-            rewritings = tuple(
-                Rewriting(r.query_name, replace_scans(r.expr, mapping))
-                for r in state.rewritings
-            )
+            rewritings = _patch_rewritings(state, {v1.name: expr1, v2.name: expr2})
             label = f"VF {v1.name}+{v2.name}"
             if n:
                 label += f"#{n + 1}"

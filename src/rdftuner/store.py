@@ -114,9 +114,6 @@ class TripleStore:
             return len(cands)
         return sum(1 for t in cands if all(t[i] == t[j] for i, j in eq))
 
-    def column_values(self, pos: int) -> set[int]:
-        return {t[pos] for t in self.triples}
-
 
 # ---------------------------------------------------------------------------
 # loading

@@ -94,7 +94,7 @@ def test_tune_records_flags_in_document(painter_files, tmp_path):
                "--schema", str(schema), "--mode", "saturate",
                "--strategy", "gstr", "--avf", "--stop-tt", "--stop-var",
                "--timeout", "30", "--max-states", "500",
-               "--cs", "2", "--cm", "0.25", "--seed", "3",
+               "--cs", "2", "--cm", "0.25",
                "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
@@ -309,6 +309,17 @@ def test_invalid_inputs_exit_2(painter_files, tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err or argv[1].endswith("bad.json")
+
+
+@pytest.mark.parametrize("strategy", ["exstr", "dfs"])
+def test_max_states_without_a_frontier_exits_2(painter_files, capsys, strategy):
+    triples, queries, _ = painter_files
+    rc = main(["tune", "--triples", str(triples), "--queries", str(queries),
+               "--strategy", strategy, "--max-states", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "max_states" in captured.err
+    assert captured.out == ""
 
 
 def test_unexpected_failure_exits_3(painter_files, monkeypatch, capsys):

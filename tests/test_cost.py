@@ -17,6 +17,7 @@ from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Va
 from rdftuner.states import Rewriting, State, TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import MissingStatisticError, collect_statistics
 from rdftuner.store import evaluate, load_triples
+from rdftuner.workload import WorkloadSpec, generate_workload, make_synthetic_store
 
 COST_TRIPLES = """
 a p b
@@ -274,3 +275,82 @@ def test_random_walk_costs_are_finite(painter_store):
         if not trs:
             break
         state = rng.choice(trs).state
+
+
+# ---------------------------------------------------------------------------
+# the memoized state cost equals a full recomputation
+
+
+def walk(state, ctx, rng, steps, avf):
+    """A random transition walk over every kind, yielding (kind, state) per
+    step, from ("", initial).  With avf each step is followed by fusions,
+    picked at random, until none is left."""
+    yield "", state
+    for _ in range(steps):
+        trs = list(iter_transitions(state, ctx))
+        if not trs:
+            return
+        tr = rng.choice(trs)
+        state = tr.state
+        yield tr.kind, state
+        while avf:
+            fusions = list(iter_transitions(state, ctx, ("VF",)))
+            if not fusions:
+                break
+            state = rng.choice(fusions).state
+            yield "VF", state
+
+
+def synthetic_workload(seed, commonality="medium"):
+    store = make_synthetic_store(400, seed=seed)
+    spec = WorkloadSpec(n_queries=4, atoms_per_query=3, shape="star",
+                        commonality=commonality, n_constants=1, seed=seed)
+    return generate_workload(spec, store), store
+
+
+@pytest.mark.parametrize("avf", [False, True], ids=["plain", "avf"])
+def test_memoized_state_cost_equals_full_recomputation(avf):
+    rng = random.Random(23)
+    kinds = set()
+    for seed, commonality in enumerate(["high", "medium"] * 2):
+        queries, store = synthetic_workload(seed, commonality)
+        stats = collect_statistics(queries, store)
+        est = Estimator(stats)
+        ctx = TransitionContext()
+        for kind, state in walk(initial_state(queries, ctx), ctx, rng, 12, avf):
+            # a fresh estimator has empty caches and costs everything anew
+            assert est.state_cost(state) == Estimator(stats).state_cost(state)
+            kinds.add(kind)
+    assert kinds >= {"VB", "SC", "JC", "VF"}
+
+
+def test_a_tree_shared_over_another_view_is_costed_again(est):
+    tree = Project(Scan("v1"), (X,))
+    narrow = ConjunctiveQuery("v1", (X,), (TripleAtom(X, Const("p"), Const("b")),))
+    wide = ConjunctiveQuery("v1", (X, Y), (TripleAtom(X, Const("p"), Y),))
+    for uid, view in enumerate((narrow, wide, narrow), start=1):
+        state = State((view,), (Rewriting("q", tree),), uid=uid)
+        assert est.state_cost(state).rec == est.rewriting_cost(tree, {"v1": view})
+    assert est.rewriting_cost(tree, {"v1": narrow}) != est.rewriting_cost(tree, {"v1": wide})
+
+
+def test_one_estimator_shared_by_two_contexts_stays_exact():
+    rng = random.Random(5)
+    q_a, store = synthetic_workload(1)
+    q_b = generate_workload(
+        WorkloadSpec(n_queries=3, atoms_per_query=3, shape="chain",
+                     commonality="medium", n_constants=1, seed=2),
+        store,
+    )
+    stats = collect_statistics(q_a + q_b, store)
+    est = Estimator(stats)
+    ctx_a, ctx_b = TransitionContext(), TransitionContext()
+    walk_a = walk(initial_state(q_a, ctx_a), ctx_a, rng, 10, avf=False)
+    walk_b = walk(initial_state(q_b, ctx_b), ctx_b, rng, 10, avf=True)
+    same_uid = 0
+    for (_, a), (_, b) in zip(walk_a, walk_b):
+        # both contexts name views v1, v2, ... and number states from 1
+        same_uid += a.uid == b.uid
+        for state in (a, b):
+            assert est.state_cost(state) == Estimator(stats).state_cost(state)
+    assert same_uid

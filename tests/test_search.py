@@ -10,10 +10,11 @@ import pytest
 from conftest import painter_query, PAINTER_TRIPLES
 from rdftuner.cost import Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var
-from rdftuner.search import SearchConfig, run_search
+from rdftuner.search import SearchConfig, _Run, run_search
 from rdftuner.states import TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import collect_statistics
 from rdftuner.store import load_triples
+from rdftuner.workload import WorkloadSpec, generate_workload, make_synthetic_store
 
 from test_states import CHAIN_STORE, chain_query, state_shape
 
@@ -161,6 +162,62 @@ def test_max_states_caps_the_frontier():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         run([chain_query()], CHAIN_STORE, strategy="simulated-annealing")
+
+
+@pytest.mark.parametrize("strategy", ["exstr", "dfs"])
+def test_max_states_rejected_where_there_is_no_frontier_to_cap(strategy):
+    with pytest.raises(ValueError, match="max_states"):
+        run([chain_query()], CHAIN_STORE, strategy=strategy, max_states=5)
+
+
+def twin_chain_queries():
+    """Two copies of the chain query: their views fuse into one."""
+    q = chain_query()
+    return [q, ConjunctiveQuery("q2", q.head, q.body)]
+
+
+def test_fusion_closure_stops_at_the_deadline():
+    queries = twin_chain_queries()
+    ctx = TransitionContext()
+    s0 = initial_state(queries, ctx)
+    est = Estimator(collect_statistics(queries, CHAIN_STORE))
+    run_ = _Run(s0, est, ctx, SearchConfig(avf=True, timeout=0.0))
+    assert run_._fusion_closure(s0) is None
+    assert run_.timed_out
+    assert not run_._avf_memo  # a partial closure is never memoized
+    state, expandable = run_.admit(s0)
+    assert state is s0 and not expandable
+    assert run_.created == 0 and not run_.seen
+    # the root's closure runs to the end whatever the budget
+    root, _ = run_.admit(s0, bounded=False)
+    assert len(root.views) == 1
+    assert run_.created == 1
+
+
+@pytest.mark.parametrize("strategy", ["exnaive", "exstr", "dfs", "gstr"])
+def test_zero_budget_avf_returns_the_fused_root(strategy):
+    res, _ = run(twin_chain_queries(), CHAIN_STORE, strategy=strategy, avf=True,
+                 timeout=0.0)
+    assert res.timed_out
+    assert res.created == 1
+    assert len(res.initial.views) == 2 and len(res.best.views) == 1
+    assert res.best_cost.total < res.initial_cost.total
+
+
+def test_avf_searches_overshoot_their_budget_little():
+    store = make_synthetic_store(2000, seed=5)
+    queries = generate_workload(
+        WorkloadSpec(n_queries=5, atoms_per_query=5, shape="star",
+                     commonality="high", n_constants=0, seed=5),
+        store,
+    )
+    budget = 0.3
+    for strategy in ("exnaive", "dfs"):
+        res, _ = run(queries, store, strategy=strategy, avf=True, stop_var=True,
+                     timeout=budget)
+        assert res.timed_out, strategy
+        # generous: a loaded machine can stall any single step
+        assert res.elapsed < budget + 0.25, (strategy, res.elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,18 @@ from rdftuner.algebra import (
     Select,
     UnionOp,
     eval_expr,
+    replace_scans,
     scan_views,
 )
-from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var
+from rdftuner.queries import (
+    ConjunctiveQuery,
+    Const,
+    QueryError,
+    TripleAtom,
+    Var,
+    canonical_body_key,
+    view_key,
+)
 from rdftuner.reasoning import parse_schema
 from rdftuner.states import (
     KINDS,
@@ -226,6 +235,56 @@ def test_enumerate_transitions_dedup():
     unique = enumerate_transitions(s0, ctx, seen=set())
     assert len(unique) == 3
     assert len({t.state.signature for t in raw}) == 3
+
+
+# ---------------------------------------------------------------------------
+# a child shares what its transition left untouched
+
+
+def test_replace_scans_returns_untouched_subtrees_themselves():
+    x = Var("X")
+    kept = Project(Select(Scan("v1"), x, Const("a")), (x,))
+    tree = NatJoin(kept, Scan("v2"))
+    assert replace_scans(tree, {"v3": Scan("v4")}) is tree
+    patched = replace_scans(tree, {"v2": Scan("v5")})
+    assert patched == NatJoin(kept, Scan("v5"))
+    assert patched.left is kept
+    union = UnionOp((kept, Scan("v2")))
+    assert replace_scans(union, {"v9": Scan("v5")}) is union
+    assert replace_scans(union, {"v2": Scan("v5")}).children[0] is kept
+
+
+def test_children_share_the_untouched_views_and_rewritings():
+    q1 = chain_query()
+    q2 = ConjunctiveQuery("q2", (Var("A"),), (TripleAtom(Var("A"), Const("c3"), Const("k")),))
+    ctx = TransitionContext()
+    s0 = initial_state([q1, q2], ctx)
+    children = list(iter_transitions(s0, ctx))
+    assert {tr.kind for tr in children} >= {"SC", "JC"}
+    for tr in children:
+        replaced = {v.name for v in s0.views} - {v.name for v in tr.state.views}
+        for old, new in zip(s0.rewritings, tr.state.rewritings):
+            if replaced.isdisjoint(scan_views(old.expr)):
+                assert new is old
+            else:
+                assert new.expr is not old.expr
+        parent_views = {v.name: v for v in s0.views}
+        for v in tr.state.views:
+            if v.name in parent_views:
+                assert v is parent_views[v.name]
+
+
+def test_view_and_body_keys_ignore_the_view_name():
+    q = chain_query()
+    for name in ("v1", "v2", "other"):
+        renamed = ConjunctiveQuery(name, q.head, q.body)
+        assert view_key(renamed) == view_key(q)
+        assert canonical_body_key(renamed) == canonical_body_key(q)
+    swapped = ConjunctiveQuery("v3", q.head[::-1], q.body)
+    assert view_key(swapped) == view_key(q)  # head order is ignored too
+    other_body = ConjunctiveQuery("q", q.head, q.body[:1])
+    assert view_key(other_body) != view_key(q)
+    assert canonical_body_key(other_body) != canonical_body_key(q)
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop expanding states containing a triple-table view")
     p.add_argument("--stop-var", action="store_true",
                    help="stop expanding states whose views hold no constants")
-    p.add_argument("--timeout", type=float, help="search budget in seconds")
+    p.add_argument("--timeout", type=float,
+                   help="search budget in seconds, at least 0")
     p.add_argument("--max-states", type=int,
-                   help="keep at most this many frontier states (best first); "
-                        "exnaive and gstr only, rejected with exit 2 otherwise")
+                   help="keep at most this many frontier states (best first), at "
+                        "least 1; exnaive and gstr only, rejected with exit 2 otherwise")
     p.add_argument("--cs", type=float, default=1.0, help="space cost weight")
     p.add_argument("--cr", type=float, default=1.0, help="rewriting cost weight")
     p.add_argument("--cm", type=float, default=0.5, help="maintenance cost weight")

@@ -163,12 +163,19 @@ class UnionQuery:
 
 
 def make_union(name: str, members: list[ConjunctiveQuery]) -> UnionQuery:
-    """Build a union, dropping members equivalent to an earlier one."""
-    kept: list[ConjunctiveQuery] = []
+    """Build a union of minimized members, dropping each member whose
+    canonical_key an earlier one has.
+
+    Equivalent minimized queries are isomorphic, so this drops exactly the
+    members equivalent to an earlier one while their symmetric atom groups
+    fit canonical_key's permutation budget.  Above it two isomorphic members
+    may both stay; the union then has a redundant member but the same
+    answers.
+    """
+    kept: dict[str, ConjunctiveQuery] = {}
     for m in members:
-        if not any(are_equivalent(m, k) for k in kept):
-            kept.append(m)
-    return UnionQuery(name, tuple(kept))
+        kept.setdefault(canonical_key(m), m)
+    return UnionQuery(name, tuple(kept.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +334,6 @@ def are_equivalent(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
         find_containment_mapping(a, b) is not None
         and find_containment_mapping(b, a) is not None
     )
-
-
-def equivalent_up_to_head_permutation(
-    a: ConjunctiveQuery, b: ConjunctiveQuery
-) -> tuple[int, ...] | None:
-    """Return a permutation p with a equivalent to b-with-head-reordered, if any.
-
-    p maps positions of a's head to positions of b's head.
-    """
-    if len(a.head) != len(b.head):
-        return None
-    for perm in itertools.permutations(range(len(b.head))):
-        permuted = ConjunctiveQuery(b.name, tuple(b.head[i] for i in perm), b.body)
-        if are_equivalent(a, permuted):
-            return perm
-    return None
 
 
 def bodies_isomorphic(

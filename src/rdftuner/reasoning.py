@@ -22,7 +22,6 @@ from .queries import (
     TripleAtom,
     UnionQuery,
     Var,
-    are_equivalent,
     canonical_key,
     make_union,
     minimize,
@@ -298,7 +297,7 @@ def reformulate(q: ConjunctiveQuery, schema: Schema) -> UnionQuery:
 
     The rewriting rules are applied atom by atom to a fixpoint, deduplicating
     by canonical form during the expansion; the final members are minimized
-    and deduplicated by equivalence.
+    and deduplicated by canonical form (see make_union).
     """
     targets = _rule_targets(schema)
     avoid = {v.name for v in q.variables()} | {

@@ -1,19 +1,23 @@
 """Search strategies over the state space.
 
-All strategies share one bookkeeping core: states are deduplicated by
-signature, every transition application is counted (and reported to an
-optional observer), stop conditions forbid expanding a state without
-forgetting it, and the best state found so far is tracked with a
-deterministic tie-break of (cost, number of views, signature).
+All strategies share one bookkeeping core and one expansion step.  The step
+applies transitions of the requested kinds to a state, checking the
+deadline before each one; every application is counted (and reported to an
+optional observer), and each child is admitted: deduplicated by signature,
+fusion-closed under avf, held back from expansion by a stop condition
+without being forgotten, and ranked against the best state so far with a
+deterministic tie-break of (cost, number of views, signature).  The same
+ranking orders exnaive's frontier and cuts frontiers to max_states.
 
   exnaive  exhaustive, cheapest-first frontier, all transition kinds from
            every state.
   exstr    exhaustive but stratified: closes the space under view breaks,
            then selection cuts, then join cuts, then fusions.  Reaches the
            same states while applying no more transitions than exnaive.
+  gstr     greedy stratified: the same loop as exstr, but after each stratum
+           it keeps only the cheapest state it reached.
   dfs      exhaustive depth-first variant of the stratified order with a
            frontier bounded by the recursion depth.
-  gstr     greedy stratified: keeps only the cheapest state of each stratum.
 
 Aggressive view fusion (avf) closes every newly created state under fusion
 before admitting it, discarding the intermediates.  The timeout is checked
@@ -133,16 +137,20 @@ class _Run:
         if size > self.peak:
             self.peak = size
 
-    def _consider_best(self, state: State) -> None:
+    def _priority(self, state: State) -> tuple:
         cost = self.est.state_cost(state)
-        key = (cost.total, len(state.views), state.signature)
+        return (cost.total, len(state.views), state.signature)
+
+    def _consider_best(self, state: State) -> None:
+        key = self._priority(state)
         if self.best_key is None or key < self.best_key:
             self.best = state
             self.best_key = key
             elapsed = time.perf_counter() - self.t0
+            cost = key[0]
             c0 = self.initial_cost.total
-            rcr = 0.0 if c0 <= 0.0 else (c0 - cost.total) / c0
-            self.trace.append((elapsed, cost.total, rcr))
+            rcr = 0.0 if c0 <= 0.0 else (c0 - cost) / c0
+            self.trace.append((elapsed, cost, rcr))
 
     def _observe(self, kind: str, parent: State, child: State) -> None:
         if self.cfg.on_transition is not None:
@@ -227,66 +235,73 @@ class _Run:
 
     # -- strategies -------------------------------------------------------
 
-    def _priority(self, state: State) -> tuple:
-        cost = self.est.state_cost(state)
-        return (cost.total, len(state.views), state.signature)
+    def _cheapest(self, states, cap: int) -> list[State]:
+        """The `cap` cheapest of `states` by _priority, cheapest first; the
+        rest are counted as discarded."""
+        self.discarded += len(states) - cap
+        return sorted(states, key=self._priority)[:cap]
+
+    def _expand(self, state: State, kinds):
+        """Count `state` as explored, then apply each transition of `kinds`
+        to it: count and observe it, and yield (child, expandable) from
+        admit.  The deadline is checked before each transition; once it has
+        passed, no further transition is applied."""
+        self.explored += 1
+        for tr in iter_transitions(state, self.ctx, kinds):
+            if self.out_of_time():
+                return
+            self.transitions += 1
+            self._observe(tr.kind, state, tr.state)
+            yield self.admit(tr.state)
 
     def run_exnaive(self) -> SearchResult:
         root, expandable = self.admit(self.initial, bounded=False)
-        heap: list[tuple] = []
-        if expandable:
-            heapq.heappush(heap, self._priority(root) + (root,))
+        heap = [(self._priority(root), root)] if expandable else []
+        cap = self.cfg.max_states
         while heap:
             self.note_peak(len(heap))
             if self.out_of_time():
                 break
-            entry = heapq.heappop(heap)
-            state = entry[-1]
-            self.explored += 1
-            aborted = False
-            for tr in iter_transitions(state, self.ctx, KINDS):
-                if self.out_of_time():
-                    aborted = True
-                    break
-                self.transitions += 1
-                self._observe(tr.kind, state, tr.state)
-                child, expandable = self.admit(tr.state)
+            _, state = heapq.heappop(heap)
+            for child, expandable in self._expand(state, KINDS):
                 if expandable:
-                    heapq.heappush(heap, self._priority(child) + (child,))
-            if aborted:
+                    heapq.heappush(heap, (self._priority(child), child))
+            if self.timed_out:
                 break
-            if self.cfg.max_states is not None and len(heap) > self.cfg.max_states:
-                keep = heapq.nsmallest(self.cfg.max_states, heap)
-                self.discarded += len(heap) - len(keep)
-                heap = keep
-                heapq.heapify(heap)
+            if cap is not None and len(heap) > cap:
+                # a sorted list is a heap
+                heap = [(self._priority(s), s)
+                        for s in self._cheapest([s for _, s in heap], cap)]
         return self.result()
 
-    def run_exstr(self) -> SearchResult:
+    def run_stratified(self, greedy: bool) -> SearchResult:
+        """exstr (greedy false) and gstr: close the kept states under one
+        transition kind at a time, in KINDS order.  exstr keeps every state
+        it reaches; gstr keeps only the cheapest after each stratum."""
         root, _ = self.admit(self.initial, bounded=False)
-        order: list[State] = [root]
-        order_sigs = {root.signature}
+        kept = {root.signature: root}
+        cap = self.cfg.max_states
         for kind in KINDS:
             if self.timed_out or self.out_of_time():
                 break
-            worklist = deque(s for s in order if s.signature not in self.terminal)
+            worklist = deque(s for s in kept.values() if s.signature not in self.terminal)
+            if not worklist:
+                break
             while worklist:
                 self.note_peak(len(worklist))
                 if self.out_of_time():
                     break
-                state = worklist.popleft()
-                self.explored += 1
-                for tr in iter_transitions(state, self.ctx, (kind,)):
-                    if self.out_of_time():
-                        break
-                    self.transitions += 1
-                    self._observe(tr.kind, state, tr.state)
-                    child, expandable = self.admit(tr.state)
-                    if child.signature not in order_sigs:
-                        order_sigs.add(child.signature)
-                        order.append(child)
+                for child, expandable in self._expand(worklist.popleft(), (kind,)):
+                    if child.signature not in kept:
+                        kept[child.signature] = child
                         if expandable:
                             worklist.append(child)
+                if cap is not None and len(worklist) > cap:
+                    worklist = deque(self._cheapest(worklist, cap))
+            if greedy:
+                winner = min(kept.values(), key=self._priority)
+                self.discarded += len(kept) - 1
+                kept = {winner.signature: winner}
         return self.result()
 
     def run_dfs(self) -> SearchResult:
@@ -296,77 +311,36 @@ class _Run:
         def jobs(state: State, j0: int):
             for j in range(j0, len(KINDS)):
                 mask = expanded.get(state.signature, 0)
-                if mask & (1 << j):
+                if mask & (1 << j) or self.timed_out:
                     continue
                 expanded[state.signature] = mask | (1 << j)
-                self.explored += 1
-                for tr in iter_transitions(state, self.ctx, (KINDS[j],)):
-                    yield j, tr
+                for child, _ in self._expand(state, (KINDS[j],)):
+                    yield j, child
 
         stack: list = []
         if expandable:
-            stack.append((root, jobs(root, 0)))
+            stack.append(jobs(root, 0))
         while stack:
             self.note_peak(len(stack))
             if self.out_of_time():
                 break
-            _, gen = stack[-1]
-            item = next(gen, None)
+            item = next(stack[-1], None)
             if item is None:
                 stack.pop()
                 continue
-            j, tr = item
-            parent = stack[-1][0]
-            self.transitions += 1
-            self._observe(tr.kind, parent, tr.state)
-            child, _ = self.admit(tr.state)
+            j, child = item
             if child.signature in self.terminal:
                 continue
             # descend if any stratum from j upward is still unexpanded there
             upper = (((1 << len(KINDS)) - 1) >> j) << j
             if (expanded.get(child.signature, 0) & upper) != upper:
-                stack.append((child, jobs(child, j)))
-        return self.result()
-
-    def run_gstr(self) -> SearchResult:
-        current, _ = self.admit(self.initial, bounded=False)
-        for kind in KINDS:
-            if self.timed_out or self.out_of_time():
-                break
-            if current.signature in self.terminal:
-                break
-            phase: dict[tuple[str, ...], State] = {current.signature: current}
-            worklist = deque([current])
-            while worklist:
-                self.note_peak(len(worklist))
-                if self.out_of_time():
-                    break
-                state = worklist.popleft()
-                self.explored += 1
-                for tr in iter_transitions(state, self.ctx, (kind,)):
-                    if self.out_of_time():
-                        break
-                    self.transitions += 1
-                    self._observe(tr.kind, state, tr.state)
-                    child, expandable = self.admit(tr.state)
-                    if child.signature not in phase:
-                        phase[child.signature] = child
-                        if expandable:
-                            worklist.append(child)
-                cap = self.cfg.max_states
-                if cap is not None and len(worklist) > cap:
-                    ranked = sorted(worklist, key=self._priority)
-                    self.discarded += len(worklist) - cap
-                    worklist = deque(ranked[:cap])
-            winner = min(phase.values(), key=self._priority)
-            self.discarded += len(phase) - 1
-            current = winner
+                stack.append(jobs(child, j))
         return self.result()
 
 
 def check_config(cfg: SearchConfig) -> None:
-    """Raise ValueError for a strategy that does not exist or a limit the
-    strategy would not honour."""
+    """Raise ValueError for a strategy that does not exist, a limit the
+    strategy would not honour, or a limit out of range."""
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
     if cfg.max_states is not None and cfg.strategy not in BOUNDED_STRATEGIES:
@@ -374,6 +348,11 @@ def check_config(cfg: SearchConfig) -> None:
             f"max_states (--max-states) caps the frontier of "
             f"{' and '.join(BOUNDED_STRATEGIES)} only; {cfg.strategy} has none to cap"
         )
+    if cfg.max_states is not None and cfg.max_states < 1:
+        raise ValueError(f"max_states (--max-states) must be at least 1, got {cfg.max_states}")
+    # also rejects NaN
+    if cfg.timeout is not None and not cfg.timeout >= 0.0:
+        raise ValueError(f"timeout (--timeout) must be at least 0, got {cfg.timeout}")
 
 
 def run_search(
@@ -387,7 +366,7 @@ def run_search(
     run = _Run(initial, estimator, ctx, cfg)
     return {
         "exnaive": run.run_exnaive,
-        "exstr": run.run_exstr,
+        "exstr": lambda: run.run_stratified(greedy=False),
         "dfs": run.run_dfs,
-        "gstr": run.run_gstr,
+        "gstr": lambda: run.run_stratified(greedy=True),
     }[cfg.strategy]()

@@ -400,21 +400,3 @@ def iter_transitions(state: State, ctx: TransitionContext, kinds=KINDS):
         for slot in range(len(state.views)):
             for label, child in fn(state, slot, ctx):
                 yield Transition(kind, label, child)
-
-
-def enumerate_transitions(
-    state: State,
-    ctx: TransitionContext,
-    kinds=KINDS,
-    seen: set[tuple[str, ...]] | None = None,
-) -> list[Transition]:
-    """Materialized transition list, optionally filtered against (and
-    updating) a set of already seen state signatures."""
-    out: list[Transition] = []
-    for tr in iter_transitions(state, ctx, kinds):
-        if seen is not None:
-            if tr.state.signature in seen:
-                continue
-            seen.add(tr.state.signature)
-        out.append(tr)
-    return out

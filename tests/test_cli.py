@@ -322,6 +322,23 @@ def test_max_states_without_a_frontier_exits_2(painter_files, capsys, strategy):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--strategy", "gstr", "--max-states", "-1"], "max_states"),
+        (["--strategy", "exnaive", "--max-states", "0"], "max_states"),
+        (["--strategy", "dfs", "--timeout", "-0.5"], "timeout"),
+    ],
+)
+def test_out_of_range_limits_exit_2(painter_files, capsys, flags, field):
+    triples, queries, _ = painter_files
+    rc = main(["tune", "--triples", str(triples), "--queries", str(queries)] + flags)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and field in captured.err
+    assert captured.out == ""
+
+
 def test_unexpected_failure_exits_3(painter_files, monkeypatch, capsys):
     import rdftuner.cli as cli
 

@@ -11,20 +11,23 @@ from conftest import painter_query, PAINTER_TRIPLES
 from rdftuner.cost import Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var
 from rdftuner.search import SearchConfig, _Run, run_search
-from rdftuner.states import TransitionContext, initial_state, iter_transitions
+from rdftuner.states import KINDS, TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import collect_statistics
 from rdftuner.store import load_triples
 from rdftuner.workload import WorkloadSpec, generate_workload, make_synthetic_store
 
+from test_acceptance import FOUR_STORE, STAR_STORE, four_chain_query, star_query
 from test_states import CHAIN_STORE, chain_query, state_shape
 
 
-def run(queries, store, **kw):
+def run(queries, store, on_transition=None, **kw):
     """Fresh context, stats and estimator; returns (result, visited sigs)."""
     visited = set()
 
     def observe(kind, parent, child):
         visited.add(child.signature)
+        if on_transition is not None:
+            on_transition(kind, parent, child)
 
     stats = collect_statistics(queries, store)
     ctx = TransitionContext()
@@ -97,6 +100,41 @@ def test_gstr_never_worse_than_initial():
     )
 
 
+@pytest.mark.parametrize("max_states", [None, 2])
+@pytest.mark.parametrize(
+    "queries,store",
+    [
+        ([painter_query()], PAINTER),
+        ([four_chain_query()], FOUR_STORE),
+        ([star_query()], STAR_STORE),
+    ],
+    ids=["painter", "four-chain", "star"],
+)
+def test_gstr_keeps_the_cheapest_state_of_each_stratum(queries, store, max_states):
+    log = []
+    res, _ = run(queries, store, strategy="gstr", max_states=max_states,
+                 on_transition=lambda kind, parent, child: log.append((kind, parent, child)))
+    est = Estimator(collect_statistics(queries, store))
+
+    def rank(state):
+        return (est.state_cost(state).total, len(state.views), state.signature)
+
+    # every stratum starts from the cheapest state reached in the one before,
+    # the state it started from included, whatever the cap cut from its worklist
+    reached = {res.initial.signature: res.initial}
+    stratum = -1
+    for kind, parent, child in log:
+        if KINDS.index(kind) != stratum:
+            assert KINDS.index(kind) > stratum
+            stratum = KINDS.index(kind)
+            winner = min(reached.values(), key=rank)
+            assert parent.signature == winner.signature, kind
+            reached = {winner.signature: winner}
+        reached.setdefault(child.signature, child)
+    assert stratum > 0
+    assert res.best.signature == min(reached.values(), key=rank).signature
+
+
 def test_gstr_explores_less_than_exhaustive():
     greedy, _ = run([painter_query()], PAINTER, strategy="gstr")
     full, _ = run([painter_query()], PAINTER, strategy="exnaive")
@@ -151,17 +189,36 @@ def test_zero_timeout_returns_initial(strategy):
     assert res.created == 1
 
 
-def test_max_states_caps_the_frontier():
-    capped, _ = run([painter_query()], PAINTER, strategy="exnaive", max_states=2)
-    full, _ = run([painter_query()], PAINTER, strategy="exnaive")
-    assert capped.discarded > 0
+@pytest.mark.parametrize("strategy", ["exnaive", "gstr"])
+def test_max_states_caps_the_frontier(strategy):
+    capped, _ = run([painter_query()], PAINTER, strategy=strategy, max_states=2)
+    full, _ = run([painter_query()], PAINTER, strategy=strategy)
+    assert capped.discarded > full.discarded
     assert capped.created < full.created
+    assert capped.peak_frontier <= 2 < full.peak_frontier
     assert capped.best_cost.total <= capped.initial_cost.total
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         run([chain_query()], CHAIN_STORE, strategy="simulated-annealing")
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(strategy="gstr", max_states=0),
+        dict(strategy="gstr", max_states=-1),
+        dict(strategy="exnaive", max_states=-1),
+        dict(strategy="dfs", timeout=-1.0),
+        dict(strategy="gstr", timeout=float("nan")),
+    ],
+    ids=["gstr-cap-0", "gstr-cap-neg", "exnaive-cap-neg", "dfs-timeout-neg",
+         "gstr-timeout-nan"],
+)
+def test_out_of_range_limits_rejected(kw):
+    with pytest.raises(ValueError, match="must be at least"):
+        run([chain_query()], CHAIN_STORE, **kw)
 
 
 @pytest.mark.parametrize("strategy", ["exstr", "dfs"])

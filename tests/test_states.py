@@ -7,6 +7,9 @@ triple store.  Every test that builds states runs it.
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +37,6 @@ from rdftuner.reasoning import parse_schema
 from rdftuner.states import (
     KINDS,
     TransitionContext,
-    enumerate_transitions,
     initial_state,
     iter_transitions,
 )
@@ -226,15 +228,25 @@ def test_chain_terminal_state_has_no_transitions():
     assert list(iter_transitions(terminal[0], ctx)) == []
 
 
-def test_enumerate_transitions_dedup():
+def test_iter_transitions_yields_duplicates():
     ctx = TransitionContext()
     s0 = initial_state([chain_query()], ctx)
-    raw = enumerate_transitions(s0, ctx)
+    raw = list(iter_transitions(s0, ctx))
     # two selection cuts plus one join edge cut at either end
     assert sorted(t.kind for t in raw) == ["JC", "JC", "SC", "SC"]
-    unique = enumerate_transitions(s0, ctx, seen=set())
-    assert len(unique) == 3
+    # two of them reach the same state; deduplication is the search's job
     assert len({t.state.signature for t in raw}) == 3
+
+
+def test_transition_walkthrough_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "transition_walkthrough.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    applied = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("-> ")]
+    assert sorted(set(applied)) == sorted(KINDS)
+    # each group of transitions of one kind is followed by the state it led to
+    assert proc.stdout.count("\n== ") == 1 + len(KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,15 @@ import sys
 import traceback
 from pathlib import Path
 
-from .algebra import _term_back, _term_json, eval_expr, expr_from_json, expr_to_json, format_expr
+from .algebra import (
+    _term_back,
+    _term_json,
+    eval_expr,
+    expr_from_json,
+    expr_to_json,
+    format_expr,
+    scan_views,
+)
 from .cost import CostWeights, Estimator
 from .queries import (
     ConjunctiveQuery,
@@ -119,7 +127,7 @@ def view_relations(
     schema: Schema | None,
     mode: str,
 ) -> dict[str, Relation]:
-    """Materialize every view the way the chosen mode prescribes."""
+    """Materialize the given views the way the chosen mode prescribes."""
     views = list(views)
     _require_schema(mode, schema)
     if mode == "post":
@@ -380,8 +388,11 @@ def cmd_answer(args: argparse.Namespace) -> int:
     if not wanted:
         known = ", ".join(r["query"] for r in doc["rewritings"])
         raise InputError(f"no rewriting for query {args.query!r} (have: {known})")
-    relations = document_relations(doc, store)
-    rel = eval_expr(expr_from_json(wanted[0]["expr"]), relations)
+    expr = expr_from_json(wanted[0]["expr"])
+    scanned = set(scan_views(expr))
+    views = [v for v in document_views(doc) if v.name in scanned]
+    relations = view_relations(views, store, document_schema(doc), doc["mode"])
+    rel = eval_expr(expr, relations)
     _write_out(_relation_tsv(rel), args.out)
     return 0
 

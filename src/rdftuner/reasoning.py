@@ -26,7 +26,7 @@ from .queries import (
     make_union,
     minimize,
 )
-from .store import TripleStore, _tokenize_line
+from .store import TripleStore, render_symbol, tokenize_line
 
 SUBCLASS = "rdfs:subClassOf"
 SUBPROPERTY = "rdfs:subPropertyOf"
@@ -87,7 +87,7 @@ def parse_schema(text: str) -> Schema:
     properties: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         where = f"line {lineno}"
-        toks = _tokenize_line(line, where)
+        toks = tokenize_line(line, where)
         if not toks:
             continue
         if len(toks) != 3:
@@ -110,9 +110,11 @@ def parse_schema(text: str) -> Schema:
 
 
 def format_schema(schema: Schema) -> str:
-    lines = sorted(f"{l} {k} {r}" for k, l, r in schema.statements)
-    lines += sorted(f"{c} rdf:type rdfs:Class" for c in schema.declared_classes)
-    lines += sorted(f"{p} rdf:type rdf:Property" for p in schema.declared_properties)
+    """Schema text that `parse_schema` reads back as `schema`."""
+    r = render_symbol
+    lines = sorted(f"{r(lhs)} {k} {r(rhs)}" for k, lhs, rhs in schema.statements)
+    lines += sorted(f"{r(c)} rdf:type rdfs:Class" for c in schema.declared_classes)
+    lines += sorted(f"{r(p)} rdf:type rdf:Property" for p in schema.declared_properties)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

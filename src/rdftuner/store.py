@@ -2,21 +2,38 @@
 
 Symbols are interned into dense integer codes once at load time; everything
 downstream joins on integers.  Indexes cover every bound-position mask so a
-single atom lookup never scans more than its candidates.
+single atom lookup never scans more than its candidates; each is built on
+first use and dropped when the triples change.
 
 Loading collapses duplicate triples.  Triple text is one triple per line,
-three whitespace-separated tokens; tokens are bare URIs, <wrapped> IRIs, or
-double-quoted literals (quotes kept as part of the symbol), and '#' outside
-quotes starts a comment.
+three tokens separated by whitespace.  A token is
+  - an <IRI>, stored without its brackets: it may hold '#' and whitespace,
+    but not '>', and its '>' must be followed by whitespace, '#' or the end
+    of the line;
+  - a "literal", stored with its quotes: it may hold anything but '"';
+  - or else a bare symbol, a run of characters other than whitespace and
+    '#' that does not start with '"' (so '<>' and '<a' are bare).
+A '#' outside a literal or an IRI starts a comment.  `_TOKEN` is the one
+statement of this grammar: schema files share it, and `render_symbol`
+writes every symbol that loading can produce so that it reads back
+unchanged.  Lines holding none of
+'"', '#' and '<' load through `str.split`, which reads the same tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .queries import Const, ConjunctiveQuery, QueryError, Term, TripleAtom, UnionQuery, Var
 
 Triple = tuple[int, int, int]
+# an index key: the code at one bound position, or the codes at two
+Key = int | tuple[int, int]
+
+# the key of a triple, or of a pattern, in the index over each position mask
+_KEY_OF = {mask: itemgetter(*mask) for mask in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
 
 
 class StoreError(ValueError):
@@ -52,7 +69,7 @@ class TripleStore:
     def __init__(self, dictionary: Dictionary | None = None) -> None:
         self.dictionary = dictionary or Dictionary()
         self.triples: set[Triple] = set()
-        self._index: dict[tuple[int, ...], dict[tuple[int, ...], list[Triple]]] = {}
+        self._index: dict[tuple[int, ...], dict[Key, list[Triple]]] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -70,13 +87,19 @@ class TripleStore:
         d = self.dictionary
         return (d.symbol(t[0]), d.symbol(t[1]), d.symbol(t[2]))
 
-    def _index_for(self, mask: tuple[int, ...]) -> dict[tuple[int, ...], list[Triple]]:
+    def _index_for(self, mask: tuple[int, ...]) -> dict[Key, list[Triple]]:
         idx = self._index.get(mask)
         if idx is None:
             idx = {}
+            get = idx.get
+            key_of = _KEY_OF[mask]
             for t in self.triples:
-                key = tuple(t[i] for i in mask)
-                idx.setdefault(key, []).append(t)
+                key = key_of(t)
+                bucket = get(key)
+                if bucket is None:
+                    idx[key] = [t]
+                else:
+                    bucket.append(t)
             self._index[mask] = idx
         return idx
 
@@ -88,8 +111,7 @@ class TripleStore:
         if len(mask) == 3:
             t = (pattern[0], pattern[1], pattern[2])
             return [t] if t in self.triples else []  # type: ignore[list-item]
-        key = tuple(pattern[i] for i in mask)
-        return self._index_for(mask).get(key, [])  # type: ignore[arg-type]
+        return self._index_for(mask).get(_KEY_OF[mask](pattern), [])
 
     def count_pattern(self, a: TripleAtom) -> int:
         """Number of stored triples matching one atom (repeated variables
@@ -119,60 +141,61 @@ class TripleStore:
 # loading
 
 
-def _tokenize_line(line: str, where: str) -> list[str]:
+# A "literal", an <IRI> (group 1), a bare symbol, a comment (group 2) or an
+# unterminated literal (group 3).  Only whitespace lies between matches.
+_TOKEN = re.compile(r'"[^"]*"|<([^>]+)>(?=[\s#]|\Z)|[^\s#"][^\s#]*|(#.*)|(")')
+
+
+def tokenize_line(line: str, where: str) -> list[str]:
+    """The symbols on one line of triple or schema text."""
     toks: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(line):
+        iri, comment, unterminated = m.groups()
+        if comment is not None:
             break
-        if ch == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 1
-            if j >= n:
-                raise StoreError(f"{where}: unterminated literal")
-            toks.append(line[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] != "#":
-                j += 1
-            tok = line[i:j]
-            if tok.startswith("<") and tok.endswith(">") and len(tok) > 2:
-                tok = tok[1:-1]
-            toks.append(tok)
-            i = j
+        if unterminated is not None:
+            raise StoreError(f"{where}: unterminated literal")
+        toks.append(m.group() if iri is None else iri)
     return toks
 
 
 def load_triples(text: str, store: TripleStore | None = None) -> TripleStore:
-    store = store or TripleStore()
+    if store is None:
+        store = TripleStore()
+    intern = store.dictionary.intern
+    add = store.triples.add
     for lineno, line in enumerate(text.splitlines(), start=1):
-        where = f"line {lineno}"
-        toks = _tokenize_line(line, where)
+        if '"' in line or "#" in line or "<" in line:
+            toks = tokenize_line(line, f"line {lineno}")
+        else:
+            # without quotes, comments or brackets every token is bare
+            toks = line.split()
         if not toks:
             continue
         if len(toks) != 3:
-            raise StoreError(f"{where}: expected 3 terms, got {len(toks)}")
-        store.add(*toks)
+            raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
+        s, p, o = toks
+        add((intern(s), intern(p), intern(o)))
+    store._index.clear()
     return store
 
 
-def dump_triples(store: TripleStore) -> str:
-    lines = sorted(" ".join(_render(sym) for sym in store.symbols(t)) for t in store.triples)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _render(sym: str) -> str:
-    if sym.startswith('"'):
+def render_symbol(sym: str) -> str:
+    """The token that `tokenize_line` reads back as `sym`, whatever tokens
+    surround it: the symbol itself when it is one literal or bare token,
+    else the symbol in <>.  A bare symbol that starts with '<' and holds no
+    '>' goes in <> too, since it would open an IRI reaching into the next
+    token."""
+    m = _TOKEN.fullmatch(sym)
+    if m is not None and m.lastindex is None and (sym[0] != "<" or ">" in sym):
         return sym
-    if any(ch.isspace() for ch in sym) or sym.startswith("#"):
-        return f"<{sym}>"
-    return sym
+    return f"<{sym}>"
+
+
+def dump_triples(store: TripleStore) -> str:
+    lines = sorted(" ".join(render_symbol(sym) for sym in store.symbols(t))
+                   for t in store.triples)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var
 from rdftuner.reasoning import (
@@ -12,7 +12,7 @@ from rdftuner.reasoning import (
     Schema,
     parse_schema,
 )
-from rdftuner.store import TripleStore, load_triples
+from rdftuner.store import StoreError, TripleStore, load_triples, tokenize_line
 
 settings.register_profile(
     "suite",
@@ -143,3 +143,23 @@ def random_query(rng: random.Random, schema: Schema, max_atoms: int = 3) -> Conj
     else:
         head = ()
     return ConjunctiveQuery("q", head, atoms)
+
+
+# characters that make the tokenizer's cases meet, unicode whitespace included
+_TOKEN_CHARS = 'ab<>"# \t\u00a0\u2003\u3000\x1c\u00e9'
+_TEXT = st.text(alphabet=_TOKEN_CHARS, max_size=8)
+_PIECES = st.one_of(_TEXT, _TEXT.map(lambda t: f"<{t}>"),
+                    _TEXT.map(lambda t: '"' + t.replace('"', "") + '"'))
+
+
+@st.composite
+def loader_symbols(draw):
+    """A symbol that loading some text can produce: `load_triples` cuts
+    the text at every line boundary `str.splitlines` knows before reading
+    tokens, so no symbol holds one."""
+    text = "".join(draw(st.lists(_PIECES, min_size=1, max_size=3)))
+    try:
+        toks = [tok for line in text.splitlines() for tok in tokenize_line(line, "drawn")]
+    except StoreError:
+        toks = []
+    return draw(st.sampled_from(toks or ["a"]))

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
+from rdftuner import cli
+from rdftuner.algebra import expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
 from rdftuner.queries import parse_queries
 from rdftuner.reasoning import parse_schema, saturate
@@ -182,6 +184,62 @@ def test_answer_unknown_query_name_is_input_error(tuned_doc, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "q1" in err  # names what it does have
+
+
+def test_answer_with_a_view_missing_from_the_document_is_input_error(
+        tuned_doc, tmp_path, capsys):
+    out, triples = tuned_doc
+    doc = json.loads(out.read_text())
+    scanned = set(scan_views(expr_from_json(doc["rewritings"][0]["expr"])))
+    doc["views"] = [v for v in doc["views"] if v["name"] not in scanned]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    rc = main(["answer", "--plan", str(broken), "--triples", str(triples),
+               "--query", "q1"])
+    assert rc == 2
+    assert "no materialized relation for view" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["plain", "post"])
+def test_answer_materializes_only_the_views_its_rewriting_scans(
+        painter_files, tmp_path, capsys, monkeypatch, mode):
+    triples, _, schema = painter_files
+    queries = tmp_path / "two.txt"
+    queries.write_text(PAINTER_QUERY_TEXT + "\nq2(X) :- t(X, rdf:type, picture) .")
+    doc = tmp_path / "doc.json"
+    # a zero budget keeps the initial state: one view per query
+    argv = ["tune", "--triples", str(triples), "--queries", str(queries),
+            "--strategy", "exnaive", "--timeout", "0", "--mode", mode, "--out", str(doc)]
+    assert main(argv + (["--schema", str(schema)] if mode == "post" else [])) == 0
+    capsys.readouterr()
+    rewritings = json.loads(doc.read_text())["rewritings"]
+    materialized, reformulated = [], []
+
+    def recording_materialize(view, store, real=cli.materialize):
+        materialized.append(view.name)
+        return real(view, store)
+
+    def recording_reformulate(views, schema, real=cli.reformulate_views_for_materialization):
+        reformulated.extend(v.name for v in views)
+        return real(views, schema)
+
+    monkeypatch.setattr(cli, "materialize", recording_materialize)
+    monkeypatch.setattr(cli, "reformulate_views_for_materialization", recording_reformulate)
+    store = load_triples(PAINTER_TRIPLES)
+    if mode == "post":
+        store = saturate(store, parse_schema(GALLERY_SCHEMA))
+    for r in rewritings:
+        materialized.clear()
+        reformulated.clear()
+        ans = tmp_path / f"{r['query']}.tsv"
+        assert main(["answer", "--plan", str(doc), "--triples", str(triples),
+                     "--query", r["query"], "--out", str(ans)]) == 0
+        scanned = sorted(set(scan_views(expr_from_json(r["expr"]))))
+        assert len(scanned) == 1
+        assert sorted(materialized) == scanned
+        assert sorted(reformulated) == (scanned if mode == "post" else [])
+        query = next(q for q in parse_queries(queries.read_text()) if q.name == r["query"])
+        assert read_tsv(ans)[1] == evaluate(query, store)
 
 
 # ---------------------------------------------------------------------------

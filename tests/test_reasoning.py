@@ -6,6 +6,7 @@ lean on, so it gets a dedicated randomized hammering here."""
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from rdftuner.queries import (
     ConjunctiveQuery,
@@ -16,6 +17,10 @@ from rdftuner.queries import (
     canonical_key,
 )
 from rdftuner.reasoning import (
+    DOMAIN,
+    RANGE,
+    SUBCLASS,
+    SUBPROPERTY,
     Schema,
     SchemaError,
     format_schema,
@@ -25,7 +30,7 @@ from rdftuner.reasoning import (
     saturate,
 )
 from rdftuner.store import TripleStore, evaluate, load_triples
-from conftest import random_query, random_schema, random_store
+from conftest import loader_symbols, random_query, random_schema, random_store
 
 X1, X2 = Var("X1"), Var("X2")
 TYPE = Const("rdf:type")
@@ -241,6 +246,32 @@ def test_schema_parse_and_format_round_trip():
     assert "q" in schema.properties
     again = parse_schema(format_schema(schema))
     assert again == schema
+
+
+def test_schema_reads_iris_with_fragments_and_spaces():
+    schema = parse_schema(
+        "<http://x.org/A#c> rdfs:subClassOf <http://x.org/B#d>  # a comment\n"
+        "<has part> rdfs:domain <http://x.org/A#c>\n"
+        "<http://x.org/p#q> rdf:type rdf:Property\n"
+    )
+    assert schema.statements == {
+        (SUBCLASS, "http://x.org/A#c", "http://x.org/B#d"),
+        (DOMAIN, "has part", "http://x.org/A#c"),
+    }
+    assert schema.declared_properties == {"http://x.org/p#q"}
+    assert parse_schema(format_schema(schema)) == schema
+
+
+@given(
+    st.sets(st.tuples(st.sampled_from([SUBCLASS, SUBPROPERTY, DOMAIN, RANGE]),
+                      loader_symbols(), loader_symbols()), max_size=5),
+    st.frozensets(loader_symbols(), max_size=3),
+    st.frozensets(loader_symbols(), max_size=3),
+)
+def test_format_then_parse_schema_is_identity(statements, classes, properties):
+    assume(all(lhs != rhs for _, lhs, rhs in statements))
+    schema = Schema(frozenset(statements), classes, properties)
+    assert parse_schema(format_schema(schema)) == schema
 
 
 def test_schema_rejects_bad_lines():

@@ -4,17 +4,20 @@ that knows nothing about atom ordering or indexes."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, UnionQuery, Var
 from rdftuner.store import (
+    StoreError,
     TripleStore,
     dump_triples,
     evaluate,
     load_triples,
     materialize,
+    tokenize_line,
 )
-from conftest import random_query, random_schema, random_store
+from conftest import loader_symbols, random_query, random_schema, random_store
 
 
 def naive_evaluate(q, store):
@@ -89,14 +92,74 @@ def test_count_pattern_matches_lookup():
         assert store.count_pattern(a) == len(naive_evaluate(q, store))
 
 
+def symbol_triples(store):
+    return {store.symbols(t) for t in store.triples}
+
+
 def test_load_dump_round_trip():
     text = 'a p b\nb "has space" c\n'
     store = load_triples(text)
     assert len(store) == 2
     again = load_triples(dump_triples(store))
-    assert {again.symbols(t) for t in again.triples} == {
-        store.symbols(t) for t in store.triples
-    }
+    assert symbol_triples(again) == symbol_triples(store)
+
+
+RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+
+@pytest.mark.parametrize(
+    "text, triple",
+    [
+        (f"a p <{RDF_TYPE_IRI}>", ("a", "p", RDF_TYPE_IRI)),
+        ("<http://x.org/a#b> p o", ("http://x.org/a#b", "p", "o")),
+        ("x p <with space>", ("x", "p", "with space")),
+        ("<a#b> p o # a comment", ("a#b", "p", "o")),
+        ("<a> <b> <c>#comment", ("a", "b", "c")),
+        ('s p "lit # not a comment"', ("s", "p", '"lit # not a comment"')),
+        ('s p "lit"# comment', ("s", "p", '"lit"')),
+        ("s p o # x y z", ("s", "p", "o")),
+        ("s p <>", ("s", "p", "<>")),
+        ("s p <o", ("s", "p", "<o")),
+        ("s p a<b>", ("s", "p", "a<b>")),
+        ("<> <<a>> <a>b", ("<>", "<<a>>", "<a>b")),
+    ],
+)
+def test_load_token_forms(text, triple):
+    assert symbol_triples(load_triples(text + "\n# only a comment\n\n")) == {triple}
+
+
+def test_load_errors_name_the_line():
+    with pytest.raises(StoreError, match="line 2: unterminated literal"):
+        load_triples('a p b\ns p "open\n')
+    with pytest.raises(StoreError, match="line 1: expected 3 terms, got 4"):
+        load_triples("x p <with space> o\n")
+    with pytest.raises(StoreError, match="line 1: expected 3 terms, got 2"):
+        load_triples("s p # <o>\n")
+
+
+def test_dump_brackets_what_a_bare_token_cannot_hold():
+    store = TripleStore()
+    store.add("a#b", "with space", '"lit"')
+    store.add("<<a>>", "#c", "<b")
+    text = dump_triples(store)
+    assert text == '<<a>> <#c> <<b>\n<a#b> <with space> "lit"\n'
+    assert symbol_triples(load_triples(text)) == symbol_triples(store)
+
+
+@given(st.lists(st.tuples(loader_symbols(), loader_symbols(), loader_symbols()),
+                max_size=6))
+def test_dump_then_load_is_identity(triples):
+    store = TripleStore()
+    for t in triples:
+        store.add(*t)
+    assert symbol_triples(load_triples(dump_triples(store))) == set(triples)
+
+
+@given(st.text(alphabet=st.characters(blacklist_characters='"#<'), max_size=30)
+       | st.text(alphabet='ab>\t \u00a0\u1680\u2028\u3000\x1c\x85', max_size=30))
+def test_split_shortcut_equals_the_tokenizer(line):
+    """Lines without a quote, '#' or '<' load through str.split()."""
+    assert line.split() == tokenize_line(line, "drawn")
 
 
 def test_materialize_columns_and_rows(painter_store):

@@ -103,22 +103,18 @@ def statistics_for_mode(
     schema: Schema | None,
     mode: str,
 ) -> WorkloadStatistics:
-    """Statistics matching how views will be materialized in this mode.
+    """Statistics of the store the mode's views draw their answers from.
 
-    pre-reformulated views query the raw store directly; saturation counts
-    against the saturated store; post counts through reformulation, which
-    yields the same numbers as saturation.
+    Plain and pre-reformulated views are answered over the raw store,
+    saturated ones over the saturated store.  A post-reformulated view is
+    materialized as its reformulation over the raw store, which gives the
+    view's answers over the saturated store, so post counts there too.
     """
-    views = list(views)
     _require_schema(mode, schema)
-    if mode in ("plain", "pre"):
-        return collect_statistics(views, store, mode="plain")
-    if mode == "saturate":
+    if mode in ("saturate", "post"):
         assert schema is not None
-        return collect_statistics(views, saturate(store, schema), mode="saturate")
-    if mode == "post":
-        return collect_statistics(views, store, schema=schema, mode="post")
-    raise InputError(f"unknown mode {mode!r}")
+        store = saturate(store, schema)
+    return collect_statistics(list(views), store)
 
 
 def view_relations(
@@ -222,6 +218,11 @@ def load_document(path: str) -> dict:
     doc = json.loads(_read_text(path))
     if not isinstance(doc, dict) or doc.get("format") != DOCUMENT_FORMAT:
         raise InputError(f"{path}: not a {DOCUMENT_FORMAT} tune document")
+    mode = doc.get("mode")
+    if mode not in MODES:
+        raise InputError(f"{path}: unknown mode {mode!r} (expected one of {', '.join(MODES)})")
+    if mode != "plain" and doc.get("schema") is None:
+        raise InputError(f"{path}: mode {mode!r} needs a schema, and the document has none")
     return doc
 
 

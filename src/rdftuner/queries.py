@@ -240,16 +240,6 @@ def check_workload_query(q: ConjunctiveQuery) -> None:
 # containment
 
 
-@dataclass(frozen=True)
-class ContainmentMapping:
-    source: str
-    target: str
-    assignment: tuple[tuple[Var, Term], ...]
-
-    def as_dict(self) -> dict[Var, Term]:
-        return dict(self.assignment)
-
-
 def _unify_atom(
     src: TripleAtom, dst: TripleAtom, env: dict[Var, Term]
 ) -> dict[Var, Term] | None:
@@ -316,15 +306,16 @@ def _head_seed(src: ConjunctiveQuery, dst: ConjunctiveQuery) -> dict[Var, Term] 
 
 def find_containment_mapping(
     src: ConjunctiveQuery, dst: ConjunctiveQuery
-) -> ContainmentMapping | None:
-    """Find a head-respecting homomorphism from src into dst.
+) -> dict[Var, Term] | None:
+    """Find a head-respecting homomorphism from src into dst, as the image
+    of each of src's variables, or None.
 
     Its existence shows that dst is contained in src.  Constants must map to
     themselves and the i-th head term of src must land on the i-th head term
     of dst.
     """
     for env in _mappings(src, dst, _head_seed(src, dst), limit=1):
-        return ContainmentMapping(src.name, dst.name, tuple(sorted(env.items(), key=lambda kv: kv[0].name)))
+        return env
     return None
 
 
@@ -464,11 +455,9 @@ def _refine(q: ConjunctiveQuery, colors: list[tuple]) -> list[tuple]:
                         if j != i:
                             links.append((pos, jpos, colors[j]))
             nxt.append((colors[i], tuple(sorted(links))))
-        stable = all(
-            (nxt[i] == nxt[j]) == (colors[i] == colors[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        # nxt[i] holds colors[i], so nxt refines colors: the two partitions
+        # are equal exactly when they have as many classes
+        stable = len(set(nxt)) == len(set(colors))
         colors = nxt
         if stable:
             break

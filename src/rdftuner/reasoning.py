@@ -18,7 +18,6 @@ from .queries import (
     ConjunctiveQuery,
     QueryError,
     RDF_TYPE,
-    Term,
     TripleAtom,
     UnionQuery,
     Var,
@@ -325,14 +324,6 @@ def reformulate(q: ConjunctiveQuery, schema: Schema) -> UnionQuery:
 def reformulation_bound(schema: Schema, q: ConjunctiveQuery) -> int:
     """Worst-case member count guarantee for the reformulation output."""
     return (2 * len(schema) ** 2) ** len(q.body)
-
-
-def atom_as_query(a: TripleAtom, name: str = "pattern") -> ConjunctiveQuery:
-    head: list[Term] = []
-    for t in a.terms:
-        if isinstance(t, Var) and t not in head:
-            head.append(t)
-    return ConjunctiveQuery(name, tuple(head), (a,))
 
 
 def reformulate_views_for_materialization(

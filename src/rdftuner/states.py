@@ -41,7 +41,6 @@ from .queries import (
     Term,
     Var,
     bodies_isomorphic,
-    canonical_body_key,
     canonical_key,
     check_workload_query,
     connected_components,
@@ -328,8 +327,6 @@ def view_fusions(state: State, ctx: TransitionContext):
     for i, j in itertools.combinations(range(len(state.views)), 2):
         v1, v2 = state.views[i], state.views[j]
         if patterns[i] != patterns[j]:
-            continue
-        if canonical_body_key(v1) != canonical_body_key(v2):
             continue
         isos = bodies_isomorphic(v1, v2, find_all=True)
         if not isos:

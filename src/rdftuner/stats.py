@@ -6,21 +6,23 @@ of its constants replaced by fresh variables, and any refinement of its
 repeated-variable pattern (a join cut may sever one occurrence of a repeated
 variable, producing an atom the original pattern does not cover).
 
-Counts are taken against the store the views will be materialized over.  In
-post-reformulation mode the store holds only explicit triples, so each count
-is taken through the atom's entailment-aware rewriting; this yields exactly
-the statistics of the saturated store without building it.
+Counts are taken on the store the caller passes, which must hold the triples
+the views' answers are drawn from: the raw store for plain and
+pre-reformulated views, the saturated store for saturation and for
+post-reformulation.  A post-reformulated view is materialized as its
+reformulation over the raw store, whose answers are exactly the view's
+answers over the saturated store, so the search costs it with the saturated
+store's statistics.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .queries import ConjunctiveQuery, Const, TripleAtom, Var
-from .reasoning import Schema, atom_as_query, reformulate
-from .store import TripleStore, evaluate
+from .store import TripleStore
 
 PatternKey = tuple[tuple[str, str | int], ...]
 
@@ -124,9 +126,6 @@ class WorkloadStatistics:
                 f"no count collected for atom shape {pattern_atom(key)}"
             ) from None
 
-    def has(self, a: TripleAtom) -> bool:
-        return pattern_of(a) in self.pattern_counts
-
     def to_json(self) -> dict:
         return {
             "triple_count": self.triple_count,
@@ -189,43 +188,19 @@ def _column_stats(triples: list[tuple[str, str, str]]) -> tuple[ColumnStats, ...
 
 
 def collect_statistics(
-    queries: list[ConjunctiveQuery],
-    store: TripleStore,
-    schema: Schema | None = None,
-    mode: str = "plain",
+    queries: list[ConjunctiveQuery], store: TripleStore
 ) -> WorkloadStatistics:
-    """Count every workload atom shape; `mode` controls the counting lens.
+    """Count every shape of every workload atom, and the column statistics,
+    on `store`.
 
-    plain/saturate: count directly against `store` (pass the saturated store
-    for a saturation setup).  post: count each shape through its
-    entailment-aware rewriting over the explicit store, which equals the
-    saturated count.
+    The caller chooses the store: the saturated one when the views' answers
+    include entailed triples (saturation and post-reformulation), the raw one
+    otherwise.
     """
-    if mode not in ("plain", "saturate", "post"):
-        raise ValueError(f"unknown statistics mode {mode!r}")
-    if mode == "post" and schema is None:
-        raise ValueError("post-reformulation statistics need a schema")
-
     keys: set[PatternKey] = set()
     for q in queries:
         for a in q.body:
             keys.update(atom_patterns(a))
-
-    counts: dict[PatternKey, int] = {}
-    if mode == "post":
-        assert schema is not None
-        for key in keys:
-            probe = atom_as_query(pattern_atom(key))
-            counts[key] = len(evaluate(reformulate(probe, schema), store))
-        universe_q = reformulate(
-            atom_as_query(TripleAtom(Var("S"), Var("P"), Var("O"))), schema
-        )
-        triples = sorted(evaluate(universe_q, store))
-        triple_count = len(triples)
-    else:
-        for key in keys:
-            counts[key] = store.count_pattern(pattern_atom(key))
-        triples = sorted(store.symbols(t) for t in store.triples)
-        triple_count = len(store)
-
-    return WorkloadStatistics(triple_count, _column_stats(triples), counts)  # type: ignore[arg-type]
+    counts = {key: store.count_pattern(pattern_atom(key)) for key in keys}
+    triples = sorted(store.symbols(t) for t in store.triples)
+    return WorkloadStatistics(len(store), _column_stats(triples), counts)  # type: ignore[arg-type]

@@ -3,17 +3,19 @@ files in tmp_path, then inspect exit codes, stdout, and output files."""
 
 import csv
 import json
+import sys
 
 import pytest
 
 from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
-from rdftuner import cli
+from rdftuner import cli, reasoning
 from rdftuner.algebra import expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
 from rdftuner.queries import parse_queries
-from rdftuner.reasoning import parse_schema, saturate
-from rdftuner.stats import WorkloadStatistics
+from rdftuner.reasoning import format_schema, parse_schema, saturate
+from rdftuner.stats import WorkloadStatistics, pattern_of
 from rdftuner.store import evaluate, load_triples, materialize
+from rdftuner.workload import make_synthetic_schema
 
 PAINTER_QUERY_TEXT = (
     "q1(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), "
@@ -200,6 +202,41 @@ def test_answer_with_a_view_missing_from_the_document_is_input_error(
     assert "no materialized relation for view" in capsys.readouterr().err
 
 
+@pytest.fixture
+def post_doc(painter_files, tmp_path, capsys):
+    triples, queries, schema = painter_files
+    out = tmp_path / "post.json"
+    rc = main(["tune", "--triples", str(triples), "--queries", str(queries),
+               "--schema", str(schema), "--mode", "post", "--strategy", "gstr",
+               "--avf", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    return out, triples
+
+
+@pytest.mark.parametrize("command", ["answer", "materialize"])
+@pytest.mark.parametrize("mode, keep_schema, message", [
+    ("bogus", True, "unknown mode 'bogus'"),
+    ("bogus", False, "unknown mode 'bogus'"),
+    ("post", False, "mode 'post' needs a schema"),
+], ids=["unknown", "unknown-without-schema", "post-without-schema"])
+def test_document_mode_is_checked(post_doc, tmp_path, capsys, command, mode,
+                                  keep_schema, message):
+    # answered as plain, an unknown mode would lose the entailed answers
+    out, triples = post_doc
+    doc = json.loads(out.read_text())
+    doc["mode"] = mode
+    if not keep_schema:
+        doc["schema"] = None
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    extra = ["--query", "q1"] if command == "answer" else ["--out-dir", str(tmp_path / "views")]
+    assert main([command, "--plan", str(broken), "--triples", str(triples)] + extra) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "--schema" not in err
+
+
 @pytest.mark.parametrize("mode", ["plain", "post"])
 def test_answer_materializes_only_the_views_its_rewriting_scans(
         painter_files, tmp_path, capsys, monkeypatch, mode):
@@ -298,7 +335,62 @@ def test_stats_output_round_trips(painter_files, tmp_path):
     store = load_triples(PAINTER_TRIPLES)
     assert stats.triple_count == len(store.triples)
     for atom in painter_query().body:
-        assert stats.has(atom)
+        assert pattern_of(atom) in stats.pattern_counts
+
+
+def _generated_schema_workload(tmp_path):
+    triples, queries = tmp_path / "gen.triples.txt", tmp_path / "gen.txt"
+    schema = tmp_path / "gen.schema.txt"
+    assert main(["gen-workload", "--store-size", "300", "--n-queries", "2",
+                 "--atoms", "3", "--shape", "star", "--seed", "11",
+                 "--out", str(queries), "--triples-out", str(triples)]) == 0
+    schema.write_text(format_schema(make_synthetic_schema(10, seed=11)))
+    return triples, queries, schema
+
+
+@pytest.mark.parametrize("workload", ["painter", "generated"])
+def test_stats_post_writes_the_saturated_statistics(painter_files, tmp_path, workload):
+    # post-reformulated views answer as the views do over the saturated store
+    if workload == "painter":
+        triples, _, schema = painter_files
+        queries = tmp_path / "entailed.txt"
+        queries.write_text("q(X, Y) :- t(X, rdf:type, picture), t(X, isLocatIn, Y) .")
+    else:
+        triples, queries, schema = _generated_schema_workload(tmp_path)
+    written = {}
+    for mode in ("plain", "saturate", "post"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["stats", "--triples", str(triples), "--queries", str(queries),
+                     "--schema", str(schema), "--mode", mode, "--out", str(out)]) == 0
+        written[mode] = out.read_bytes()
+    assert written["post"] == written["saturate"]
+    post, plain = (WorkloadStatistics.loads(written[m].decode()) for m in ("post", "plain"))
+    assert post.pattern_counts != plain.pattern_counts
+
+
+def test_post_tune_reformulates_nothing_before_the_search(painter_files, tmp_path,
+                                                          monkeypatch, capsys):
+    triples, queries, schema = painter_files
+    events = []
+    real_reformulate, real_search = reasoning.reformulate, cli.run_search
+
+    def recording_reformulate(*args, **kwargs):
+        events.append("reformulate")
+        return real_reformulate(*args, **kwargs)
+
+    def recording_search(*args, **kwargs):
+        events.append("search")
+        return real_search(*args, **kwargs)
+
+    # callers import the function by name, so rebind it in every module
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rdftuner") and getattr(module, "reformulate", None) is real_reformulate:
+            monkeypatch.setattr(module, "reformulate", recording_reformulate)
+    monkeypatch.setattr(cli, "run_search", recording_search)
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries),
+                 "--schema", str(schema), "--mode", "post", "--strategy", "gstr",
+                 "--avf", "--out", str(tmp_path / "doc.json")]) == 0
+    assert events[:1] == ["search"]
 
 
 def test_gen_workload_is_deterministic(tmp_path):

@@ -122,9 +122,8 @@ def test_containment_matches_frozen_body(q1, q2):
 
 @given(queries())
 def test_containment_mapping_is_a_witness(q1):
-    m = find_containment_mapping(q1, q1)
-    assert m is not None
-    env = m.as_dict()
+    env = find_containment_mapping(q1, q1)
+    assert env is not None
 
     def sub(t):
         return env.get(t, t)

@@ -7,75 +7,64 @@ cheapest set found together with a complete rewriting of every workload
 query over those views.  Implicit, schema entailed triples are honored
 through saturation or through query reformulation, before or after the
 search.
+
+Importing the package loads none of its modules.  Each name in `__all__`
+is imported from the submodule that defines it on first use, so a program
+that answers queries from a tune document never loads the search stack
+(`search`, `cost`, `states`, `stats` and `workload`).
 """
 
-from .cost import CostWeights, Estimator
-from .queries import (
-    ConjunctiveQuery,
-    Const,
-    QueryError,
-    TripleAtom,
-    UnionQuery,
-    Var,
-    format_query,
-    parse_queries,
-)
-from .reasoning import (
-    Schema,
-    SchemaError,
-    format_schema,
-    parse_schema,
-    reformulate,
-    saturate,
-)
-from .search import SearchConfig, SearchResult, run_search
-from .states import State, TransitionContext, initial_state
-from .stats import WorkloadStatistics, collect_statistics
-from .store import (
-    StoreError,
-    TripleStore,
-    dump_triples,
-    evaluate,
-    load_triples,
-    materialize,
-)
-from .workload import WorkloadSpec, generate_workload, make_synthetic_store
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConjunctiveQuery",
-    "Const",
-    "CostWeights",
-    "Estimator",
-    "QueryError",
-    "Schema",
-    "SchemaError",
-    "SearchConfig",
-    "SearchResult",
-    "State",
-    "StoreError",
-    "TransitionContext",
-    "TripleAtom",
-    "TripleStore",
-    "UnionQuery",
-    "Var",
-    "WorkloadSpec",
-    "WorkloadStatistics",
-    "collect_statistics",
-    "dump_triples",
-    "evaluate",
-    "format_query",
-    "format_schema",
-    "generate_workload",
-    "initial_state",
-    "load_triples",
-    "make_synthetic_store",
-    "materialize",
-    "parse_queries",
-    "parse_schema",
-    "reformulate",
-    "run_search",
-    "saturate",
-    "__version__",
-]
+# the submodule that defines each public name
+_EXPORTS = {
+    "cost": ("CostWeights", "Estimator"),
+    "queries": (
+        "ConjunctiveQuery",
+        "Const",
+        "QueryError",
+        "TripleAtom",
+        "UnionQuery",
+        "Var",
+        "format_query",
+        "parse_queries",
+    ),
+    "reasoning": (
+        "Schema",
+        "SchemaError",
+        "format_schema",
+        "parse_schema",
+        "reformulate",
+        "saturate",
+    ),
+    "search": ("SearchConfig", "SearchResult", "run_search"),
+    "states": ("State", "TransitionContext", "initial_state"),
+    "stats": ("WorkloadStatistics", "collect_statistics"),
+    "store": (
+        "StoreError",
+        "TripleStore",
+        "dump_triples",
+        "evaluate",
+        "load_triples",
+        "materialize",
+    ),
+    "workload": ("WorkloadSpec", "generate_workload", "make_synthetic_store"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_SOURCE), "__version__"]
+
+
+def __getattr__(name: str):
+    # not cached in the package, so the name always reads the submodule's
+    # current binding, as `from .submodule import name` inside a function does
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCE})

@@ -6,16 +6,21 @@ view materialization, and answering workload queries from a tune document.
 
 Exit codes: 0 on success, 2 on invalid input (files, flags, queries,
 schema), 3 on unexpected runtime failure.
+
+Only `tune`, `stats` and `gen-workload` load the search stack (`search`,
+`cost`, `states`, `stats`, `workload`), inside the functions that run it;
+`answer`, `materialize`, `saturate` and `reformulate` load the queries,
+the store, the algebra and reasoning alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebra import (
     _term_back,
@@ -26,7 +31,7 @@ from .algebra import (
     format_expr,
     scan_views,
 )
-from .cost import CostWeights, Estimator
+from .choices import COMMONALITY, SHAPES, STRATEGIES
 from .queries import (
     ConjunctiveQuery,
     QueryError,
@@ -35,6 +40,7 @@ from .queries import (
     parse_queries,
 )
 from .reasoning import (
+    MODES,
     Schema,
     SchemaError,
     format_schema,
@@ -43,11 +49,12 @@ from .reasoning import (
     reformulate_views_for_materialization,
     saturate,
 )
-from .search import STRATEGIES, SearchConfig, SearchResult, check_config, run_search
-from .states import MODES, TransitionContext, initial_state
-from .stats import WorkloadStatistics, collect_statistics
 from .store import Relation, StoreError, TripleStore, dump_triples, load_triples, materialize
-from .workload import COMMONALITY, SHAPES, WorkloadSpec, generate_workload, make_synthetic_store
+
+if TYPE_CHECKING:
+    from .cost import CostWeights
+    from .search import SearchConfig, SearchResult
+    from .stats import WorkloadStatistics
 
 DOCUMENT_FORMAT = "rdftuner/1"
 
@@ -110,6 +117,8 @@ def statistics_for_mode(
     materialized as its reformulation over the raw store, which gives the
     view's answers over the saturated store, so post counts there too.
     """
+    from .stats import collect_statistics
+
     _require_schema(mode, schema)
     if mode in ("saturate", "post"):
         assert schema is not None
@@ -242,6 +251,8 @@ def document_relations(doc: dict, store: TripleStore) -> dict[str, Relation]:
 
 
 def write_trace(path: str, result: SearchResult) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["elapsed_seconds", "best_cost", "rcr"])
@@ -261,6 +272,10 @@ def _relation_tsv(rel: Relation) -> str:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from .cost import CostWeights, Estimator
+    from .search import SearchConfig, check_config, run_search
+    from .states import TransitionContext, initial_state
+
     config = SearchConfig(
         strategy=args.strategy,
         avf=args.avf,
@@ -339,6 +354,8 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .states import TransitionContext, initial_state
+
     store = load_store_file(args.triples)
     schema = load_schema_file(args.schema) if args.schema else None
     queries = load_workload_file(args.queries)
@@ -350,6 +367,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_workload(args: argparse.Namespace) -> int:
+    from .workload import WorkloadSpec, generate_workload, make_synthetic_store
+
     if args.triples:
         store = load_store_file(args.triples)
     else:

@@ -41,7 +41,6 @@ from .algebra import (
     Scan,
     Select,
     ThetaJoin,
-    UnionOp,
     scan_views,
 )
 from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var

@@ -11,12 +11,11 @@ contract here and is exercised heavily by the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .queries import (
     Const,
     ConjunctiveQuery,
-    QueryError,
     RDF_TYPE,
     TripleAtom,
     UnionQuery,
@@ -33,6 +32,10 @@ DOMAIN = "rdfs:domain"
 RANGE = "rdfs:range"
 
 _KINDS = (SUBCLASS, SUBPROPERTY, DOMAIN, RANGE)
+
+# how implicit triples are handled: not at all, by saturating the store, or
+# by reformulating the workload before the search or the views after it
+MODES = ("plain", "saturate", "pre", "post")
 
 
 class SchemaError(ValueError):

@@ -35,8 +35,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .choices import STRATEGIES
 from .cost import CostBreakdown, Estimator
-from .states import KINDS, State, Transition, TransitionContext, iter_transitions
+from .states import KINDS, State, TransitionContext, iter_transitions
 
 
 @dataclass
@@ -74,7 +75,6 @@ class SearchResult:
         return (c0 - self.best_cost.total) / c0
 
 
-STRATEGIES = ("exnaive", "exstr", "dfs", "gstr")
 # the strategies with a frontier that max_states bounds
 BOUNDED_STRATEGIES = ("exnaive", "gstr")
 

@@ -46,7 +46,7 @@ from .queries import (
     connected_components,
     view_key,
 )
-from .reasoning import Schema, reformulate
+from .reasoning import MODES, Schema, reformulate
 
 KINDS = ("VB", "SC", "JC", "VF")
 
@@ -101,9 +101,6 @@ class TransitionContext:
     def next_uid(self) -> int:
         self._uid += 1
         return self._uid
-
-
-MODES = ("plain", "saturate", "pre", "post")
 
 
 def initial_state(

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .queries import Const, ConjunctiveQuery, QueryError, Term, TripleAtom, UnionQuery, Var
+from .queries import Const, ConjunctiveQuery, Term, TripleAtom, UnionQuery, Var
 
 Triple = tuple[int, int, int]
 # an index key: the code at one bound position, or the codes at two

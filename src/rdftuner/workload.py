@@ -11,12 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .choices import COMMONALITY, SHAPES
 from .queries import ConjunctiveQuery, Const, QueryError, RDF_TYPE, TripleAtom, Var, minimize
 from .reasoning import DOMAIN, RANGE, SUBCLASS, SUBPROPERTY, Schema
 from .store import StoreError, TripleStore
-
-SHAPES = ("star", "chain", "cycle", "random_sparse", "random_dense", "mixed")
-COMMONALITY = ("low", "medium", "high")
 
 
 @dataclass

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
-from rdftuner import cli, reasoning
+from rdftuner import cli, reasoning, search
 from rdftuner.algebra import expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
 from rdftuner.queries import parse_queries
@@ -372,7 +372,7 @@ def test_post_tune_reformulates_nothing_before_the_search(painter_files, tmp_pat
                                                           monkeypatch, capsys):
     triples, queries, schema = painter_files
     events = []
-    real_reformulate, real_search = reasoning.reformulate, cli.run_search
+    real_reformulate, real_search = reasoning.reformulate, search.run_search
 
     def recording_reformulate(*args, **kwargs):
         events.append("reformulate")
@@ -386,7 +386,7 @@ def test_post_tune_reformulates_nothing_before_the_search(painter_files, tmp_pat
     for name, module in list(sys.modules.items()):
         if name.startswith("rdftuner") and getattr(module, "reformulate", None) is real_reformulate:
             monkeypatch.setattr(module, "reformulate", recording_reformulate)
-    monkeypatch.setattr(cli, "run_search", recording_search)
+    monkeypatch.setattr(search, "run_search", recording_search)
     assert main(["tune", "--triples", str(triples), "--queries", str(queries),
                  "--schema", str(schema), "--mode", "post", "--strategy", "gstr",
                  "--avf", "--out", str(tmp_path / "doc.json")]) == 0
@@ -490,12 +490,10 @@ def test_out_of_range_limits_exit_2(painter_files, capsys, flags, field):
 
 
 def test_unexpected_failure_exits_3(painter_files, monkeypatch, capsys):
-    import rdftuner.cli as cli
-
     def boom(*a, **kw):
         raise RuntimeError("wired to fail")
 
-    monkeypatch.setattr(cli, "run_search", boom)
+    monkeypatch.setattr(search, "run_search", boom)
     triples, queries, _ = painter_files
     rc = main(["tune", "--triples", str(triples), "--queries", str(queries)])
     assert rc == 3

@@ -13,13 +13,13 @@ disconnected; views enforce the same rules at construction time in the state
 layer.  Internal queries produced by rewriting rules may legitimately violate
 them and still need to evaluate.
 
-Containment mappings drive everything else here: equivalence, minimization,
-and the canonical form that makes duplicate detection cheap for the search.
+Containment mappings drive equivalence and minimization.  A canonical form,
+equal exactly for isomorphic queries, makes duplicate detection cheap for the
+search and yields the renamings that fuse views.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -167,10 +167,7 @@ def make_union(name: str, members: list[ConjunctiveQuery]) -> UnionQuery:
     canonical_key an earlier one has.
 
     Equivalent minimized queries are isomorphic, so this drops exactly the
-    members equivalent to an earlier one while their symmetric atom groups
-    fit canonical_key's permutation budget.  Above it two isomorphic members
-    may both stay; the union then has a redundant member but the same
-    answers.
+    members equivalent to an earlier one.
     """
     kept: dict[str, ConjunctiveQuery] = {}
     for m in members:
@@ -327,62 +324,35 @@ def are_equivalent(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
     )
 
 
-def bodies_isomorphic(
-    a: ConjunctiveQuery, b: ConjunctiveQuery, find_all: bool = False, cap: int = 200
-) -> list[dict[Var, Var]]:
-    """Bijective variable renamings carrying b's body onto a's body.
+def bodies_isomorphic(a: ConjunctiveQuery, b: ConjunctiveQuery) -> list[dict[Var, Var]]:
+    """Bijective variable renamings carrying b's body onto a's body, one for
+    each distinct image of b's head variables.
 
     Atom multiplicities must match exactly (each atom of b is matched to a
-    distinct atom of a).  Heads are ignored.  Returns at most `cap` renamings,
-    or just the first when find_all is false.
+    distinct atom of a).  Heads only choose which renamings come back.  The
+    two canonical atom orders give one renaming; composing it with the
+    automorphisms of b's body reaches every other image of the head.
     """
-    if len(a.body) != len(b.body):
+    if len(a.body) != len(b.body) or canonical_body_key(a) != canonical_body_key(b):
         return []
-    if canonical_body_key(a) != canonical_body_key(b):
-        return []
-    results: list[dict[Var, Var]] = []
-    used = [False] * len(a.body)
-
-    def rec(k: int, env: dict[Var, Var], rev: dict[Var, Var]) -> bool:
-        if len(results) >= cap:
-            return True
-        if k == len(b.body):
-            results.append(dict(env))
-            return not find_all
-        bat = b.body[k]
-        for i, aat in enumerate(a.body):
-            if used[i]:
-                continue
-            env2, rev2 = env, rev
-            ok = True
-            for bt, at_ in zip(bat.terms, aat.terms):
-                if isinstance(bt, Const) or isinstance(at_, Const):
-                    if bt != at_:
-                        ok = False
-                        break
-                else:
-                    img = env2.get(bt)
-                    if img is None:
-                        if at_ in rev2:
-                            ok = False
-                            break
-                        if env2 is env:
-                            env2, rev2 = dict(env), dict(rev)
-                        env2[bt] = at_
-                        rev2[at_] = bt
-                    elif img != at_:
-                        ok = False
-                        break
-            if ok:
-                used[i] = True
-                done = rec(k + 1, env2, rev2)
-                used[i] = False
-                if done:
-                    return True
-        return False
-
-    rec(0, {}, {})
-    return results
+    (_, order_a, _), (_, order_b, gens) = _body_form(a.body), _body_form(b.body)
+    # both bodies in canonical order name their variables alike
+    to_a = dict(zip(
+        ConjunctiveQuery("", (), tuple(b.body[i] for i in order_b)).variables(),
+        ConjunctiveQuery("", (), tuple(a.body[i] for i in order_a)).variables()))
+    autos = [{u: w for i, j in enumerate(g) for u, w in zip(b.body[i].terms, b.body[j].terms)
+              if isinstance(u, Var)} for g in gens]
+    head = tuple(v for v in b.head_vars() if v in to_a)
+    found = {head: {v: v for v in to_a}}
+    queue = [found[head]]
+    for sigma in queue:
+        for g in autos:
+            moved = {v: g[w] for v, w in sigma.items()}
+            image = tuple(moved[v] for v in head)
+            if image not in found:
+                found[image] = moved
+                queue.append(moved)
+    return [{v: to_a[w] for v, w in sigma.items()} for sigma in found.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +384,6 @@ def minimize(q: ConjunctiveQuery) -> ConjunctiveQuery:
 # ---------------------------------------------------------------------------
 # canonical form
 
-_PERMUTATION_BUDGET = 40320
-
 
 def _initial_colors(q: ConjunctiveQuery, ordered_head: bool) -> list[tuple]:
     head_pos: dict[Var, tuple[int, ...]] = {}
@@ -437,28 +405,36 @@ def _initial_colors(q: ConjunctiveQuery, ordered_head: bool) -> list[tuple]:
     return colors
 
 
-def _refine(q: ConjunctiveQuery, colors: list[tuple]) -> list[tuple]:
-    """Iteratively split atom color classes by their join neighborhoods."""
-    n = len(q.body)
+def _links(q: ConjunctiveQuery) -> list[list[tuple[int, int, int]]]:
+    """Per atom, its position, the other's position and the other atom of
+    each variable occurrence it shares."""
     var_positions: dict[Var, list[tuple[int, int]]] = {}
     for i, a in enumerate(q.body):
         for pos, t in enumerate(a.terms):
             if isinstance(t, Var):
                 var_positions.setdefault(t, []).append((i, pos))
-    for _ in range(n):
-        nxt: list[tuple] = []
-        for i, a in enumerate(q.body):
-            links = []
-            for pos, t in enumerate(a.terms):
-                if isinstance(t, Var):
-                    for j, jpos in var_positions[t]:
-                        if j != i:
-                            links.append((pos, jpos, colors[j]))
-            nxt.append((colors[i], tuple(sorted(links))))
+    links: list[list[tuple[int, int, int]]] = [[] for _ in q.body]
+    for occurrences in var_positions.values():
+        for i, pos in occurrences:
+            links[i].extend((pos, jpos, j) for j, jpos in occurrences if j != i)
+    return links
+
+
+def _refine(links: list[list[tuple[int, int, int]]], colors: list) -> list[int]:
+    """Iteratively split atom color classes by their join neighborhoods.
+    Each round ranks the colors 0, 1, ... in sorted order: the classes keep
+    the order that nested colors would give them, and compare cheaply."""
+    for _ in links:
+        nxt = [
+            (colors[i], tuple(sorted([(pos, jpos, colors[j]) for pos, jpos, j in out])))
+            for i, out in enumerate(links)
+        ]
+        classes = sorted(set(nxt))
+        rank = {c: r for r, c in enumerate(classes)}
         # nxt[i] holds colors[i], so nxt refines colors: the two partitions
         # are equal exactly when they have as many classes
-        stable = len(set(nxt)) == len(set(colors))
-        colors = nxt
+        stable = len(classes) == len(set(colors))
+        colors = [rank[c] for c in nxt]
         if stable:
             break
     return colors
@@ -490,48 +466,70 @@ def _serialize(q: ConjunctiveQuery, order: tuple[int, ...], ordered_head: bool) 
     return "h=" + ",".join(head_labels) + ";b=" + ";".join(atoms)
 
 
-def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> str:
-    colors = _refine(q, _initial_colors(q, ordered_head))
-    n = len(q.body)
-    groups: dict[tuple, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(colors[i], []).append(i)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    budget = 1
-    perm_sets = []
-    for g in ordered_groups:
-        size = 1
-        for k in range(2, len(g) + 1):
-            size *= k
-        if budget * size <= _PERMUTATION_BUDGET:
-            budget *= size
-            perm_sets.append(list(itertools.permutations(g)))
-        else:
-            # beyond the budget a symmetric group keeps its stable (body)
-            # order, so isomorphic queries may then get different keys
-            perm_sets.append([tuple(g)])
-    best: str | None = None
-    for combo in itertools.product(*perm_sets):
-        order = tuple(itertools.chain.from_iterable(combo))
-        s = _serialize(q, order, ordered_head)
-        if best is None or s < best:
-            best = s
-    if best is None:
-        best = _serialize(q, (), ordered_head)
-    return best
+def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> tuple[str, tuple[int, ...], tuple]:
+    """The canonical serialization of q, the atom order that gives it, and
+    atom permutations that generate q's automorphism group.
+
+    An individualization-refinement search (McKay and Piperno, "Practical
+    graph isomorphism, II", 2014): where refinement leaves a class of several
+    atoms, each atom of the first such class in turn becomes a class of its
+    own, and the search refines again and recurses.  The smallest
+    serialization of a discrete leaf, atoms ordered by color, is the key.
+    Two leaves that serialize equally give an automorphism; the search then
+    goes back to where their paths part, and skips each child that an
+    automorphism fixing the path maps onto one already searched.
+    """
+    n, links = len(q.body), _links(q)
+    colors = _refine(links, _initial_colors(q, ordered_head))
+    if len(set(colors)) == n:  # refinement alone ordered every atom
+        order = tuple(sorted(range(n), key=colors.__getitem__))
+        return _serialize(q, order, ordered_head), order, ()
+    gens: list[tuple[int, ...]] = []
+    leaves: list = []  # key, order and path of the first leaf, then the best
+
+    def visit(colors: list[int], path: tuple[int, ...]) -> int:
+        """Search below a node; returns the depth to resume at."""
+        if len(set(colors)) == n:
+            order = tuple(sorted(range(n), key=colors.__getitem__))
+            key = _serialize(q, order, ordered_head)
+            for k, o, p in leaves:
+                if key == k:
+                    gens.append(tuple(j for _, j in sorted(zip(o, order))))
+                    return next(d for d, (u, v) in enumerate(zip(p, path)) if u != v)
+            if not leaves:
+                leaves[:] = [(key, order, path)] * 2
+            elif key < leaves[1][0]:
+                leaves[1] = (key, order, path)
+            return len(path)
+        target = min(c for c in colors if colors.count(c) > 1)
+        searched: list[int] = []
+        for w in (i for i, c in enumerate(colors) if c == target):
+            # the orbits of the children searched under what fixes the path
+            fixing = [g for g in gens if all(g[v] == v for v in path)]
+            reach = list(searched)
+            for v in reach:
+                reach.extend(g[v] for g in fixing if g[v] not in reach)
+            if w in reach:
+                continue
+            searched.append(w)
+            depth = visit(_refine(links, [2 * c + (i != w) for i, c in enumerate(colors)]),
+                          path + (w,))
+            if depth < len(path):
+                return depth
+        return len(path)
+
+    visit(colors, ())
+    return leaves[1][0], leaves[1][1], tuple(gens)
 
 
 @lru_cache(maxsize=200_000)
 def canonical_key(q: ConjunctiveQuery) -> str:
     """Serialization invariant under variable renaming and atom reordering.
 
-    Equal keys imply equivalent queries with positionally matching heads.
-    The reverse holds only while the symmetric atom groups left after
-    refinement fit the permutation budget; beyond it a group keeps a stable
-    order and two isomorphic queries can get different keys.  There is no
-    fallback check.
+    Two queries get equal keys exactly when they are isomorphic with
+    positionally matching heads; equal keys imply equivalent queries.
     """
-    return _canonical(q, ordered_head=True)
+    return _canonical(q, ordered_head=True)[0]
 
 
 # The two keys below ignore the query's name and are cached by structure, so
@@ -553,16 +551,16 @@ def view_key(q: ConjunctiveQuery) -> str:
 
 @lru_cache(maxsize=200_000)
 def _view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
-    return _canonical(ConjunctiveQuery("", head, body), ordered_head=False)
+    return _canonical(ConjunctiveQuery("", head, body), ordered_head=False)[0]
 
 
 def canonical_body_key(q: ConjunctiveQuery) -> str:
     """Canonical form of the body alone (head ignored)."""
-    return _body_key(q.body)
+    return _body_form(q.body)[0]
 
 
 @lru_cache(maxsize=200_000)
-def _body_key(body: tuple[TripleAtom, ...]) -> str:
+def _body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tuple]:
     return _canonical(ConjunctiveQuery("", (), body), ordered_head=True)
 
 

@@ -325,13 +325,15 @@ def view_fusions(state: State, ctx: TransitionContext):
         v1, v2 = state.views[i], state.views[j]
         if patterns[i] != patterns[j]:
             continue
-        isos = bodies_isomorphic(v1, v2, find_all=True)
+        isos = bodies_isomorphic(v1, v2)
         if not isos:
             continue
         # Distinct isomorphisms can induce distinct fused heads (two
-        # all-variable atoms can line up straight or crosswise).  Each
-        # outcome is its own transition; collapsing them to one would make
-        # fusion order matter and lose states from the stratified orders.
+        # all-variable atoms can line up straight or crosswise).
+        # bodies_isomorphic returns one renaming per image of v2's head, so
+        # every outcome is here; each is its own transition, as collapsing
+        # them to one would make fusion order matter and lose states from
+        # the stratified orders.
         variants: dict[str, tuple[dict[Var, Var], tuple[Term, ...]]] = {}
         for rho in isos:
             fused: list[Term] = list(v1.head)

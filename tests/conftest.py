@@ -163,3 +163,44 @@ def loader_symbols(draw):
     except StoreError:
         toks = []
     return draw(st.sampled_from(toks or ["a"]))
+
+
+@st.composite
+def symmetric_bodies(draw, max_atoms: int = 12) -> ConjunctiveQuery:
+    """Queries of up to `max_atoms` atoms over at most two properties, built
+    from directed cycles, stars and all-variable atoms: shapes whose atoms
+    colour refinement cannot tell apart, so canonical forms and isomorphism
+    searches must branch."""
+    props = [Const("p"), Const("q")][: draw(st.integers(1, 2))]
+    n = draw(st.integers(1, max_atoms))
+    body: list[TripleAtom] = []
+    used: list[Var] = []
+
+    def fresh() -> Var:
+        used.append(Var(f"V{len(used)}"))
+        return used[-1]
+
+    def old_or_fresh() -> Var:
+        if used and draw(st.booleans()):
+            return draw(st.sampled_from(used))
+        return fresh()
+
+    while len(body) < n:
+        room = n - len(body)
+        kind = draw(st.sampled_from(("cycle", "star", "free")))
+        if kind == "free":
+            body.append(TripleAtom(old_or_fresh(), old_or_fresh(), old_or_fresh()))
+            continue
+        size = draw(st.integers(1, room))
+        p = draw(st.sampled_from(props))
+        if kind == "cycle":
+            ring = [fresh() for _ in range(size)]
+            body += [TripleAtom(ring[i], p, ring[(i + 1) % size]) for i in range(size)]
+        else:
+            hub, outward = old_or_fresh(), draw(st.booleans())
+            for _ in range(size):
+                leaf = fresh()
+                body.append(TripleAtom(hub, p, leaf) if outward else TripleAtom(leaf, p, hub))
+    body_vars = list(dict.fromkeys(v for a in body for v in a.variables()))
+    head = tuple(draw(st.lists(st.sampled_from(body_vars), unique=True, max_size=3)))
+    return ConjunctiveQuery("q", head, tuple(draw(st.permutations(body))))

@@ -2,14 +2,19 @@
 
 The containment oracle here enumerates every variable assignment outright,
 and a second oracle goes through evaluation over the frozen body, so the
-backtracking matcher is checked against two independent definitions.
+backtracking matcher is checked against two independent definitions.  The
+canonical forms and body isomorphisms are checked against a plain
+backtracking isomorphism search on bodies that refinement cannot split.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import symmetric_bodies
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
@@ -188,7 +193,7 @@ def test_canonical_key_invariant_under_renaming(q, rng):
 
 
 @given(queries(), queries())
-def test_canonical_key_complete_for_equivalents(q1, q2):
+def test_equal_canonical_keys_imply_equivalence(q1, q2):
     if canonical_key(q1) == canonical_key(q2):
         assert are_equivalent(q1, q2)
 
@@ -204,7 +209,7 @@ def test_canonical_key_separates_structures():
 
 @given(queries(), queries())
 def test_body_isomorphism_agrees_with_body_key(q1, q2):
-    renamings = bodies_isomorphic(q1, q2, find_all=True)
+    renamings = bodies_isomorphic(q1, q2)
     assert bool(renamings) == (canonical_body_key(q1) == canonical_body_key(q2))
     for rho in renamings:
         mapped = {
@@ -234,6 +239,157 @@ def test_make_union_drops_exactly_the_equivalent_members(qs, rnd):
         if not any(are_equivalent(m, k) for k in expected):
             expected.append(m)
     assert make_union("u", members).members == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of symmetric bodies, against a brute-force oracle
+
+
+def brute_isomorphisms(a: ConjunctiveQuery, b: ConjunctiveQuery) -> list[dict[Var, Var]]:
+    """Bijective renamings of b's variables carrying b's body onto a's body,
+    one per image of b's head variables, by plain backtracking over atom
+    assignments.  Atoms holding head variables go first and then atoms
+    joined to those placed, and a variable only maps to one occurring as
+    often in each position, so the search stays small without any
+    canonical form."""
+    if len(a.body) != len(b.body):
+        return []
+
+    def occurrences(q):
+        counts = {}
+        for at in q.body:
+            for pos, t in enumerate(at.terms):
+                if isinstance(t, Var):
+                    counts.setdefault(t, [0, 0, 0])[pos] += 1
+        return {v: tuple(c) for v, c in counts.items()}
+
+    occ_a, occ_b = occurrences(a), occurrences(b)
+    head = [v for v in b.head_vars() if v in occ_b]
+    order, bound = [], set()
+    while len(order) < len(b.body):
+        k = max((k for k in range(len(b.body)) if k not in order),
+                key=lambda k: (bool(set(b.body[k].variables()) & (set(head) - bound)),
+                               len(set(b.body[k].variables()) & bound)))
+        order.append(k)
+        bound.update(b.body[k].variables())
+    results: dict[tuple, dict[Var, Var]] = {}
+    used = [False] * len(a.body)
+
+    def rec(k: int, env: dict[Var, Var], rev: dict[Var, Var]) -> None:
+        if all(v in env for v in head) and tuple(env[v] for v in head) in results:
+            return
+        if k == len(order):
+            results[tuple(env[v] for v in head)] = dict(env)
+            return
+        bat = b.body[order[k]]
+        for i, aat in enumerate(a.body):
+            if used[i]:
+                continue
+            env2, rev2 = dict(env), dict(rev)
+            ok = True
+            for bt, at_ in zip(bat.terms, aat.terms):
+                if isinstance(bt, Const) or isinstance(at_, Const):
+                    ok = bt == at_
+                elif bt in env2:
+                    ok = env2[bt] == at_
+                else:
+                    ok = at_ not in rev2 and occ_b[bt] == occ_a[at_]
+                    env2[bt], rev2[at_] = at_, bt
+                if not ok:
+                    break
+            if ok:
+                used[i] = True
+                rec(k + 1, env2, rev2)
+                used[i] = False
+
+    rec(0, {}, {})
+    return list(results.values())
+
+
+def shuffled_copy(q: ConjunctiveQuery, rng: random.Random) -> ConjunctiveQuery:
+    """q with fresh variable names and its atoms shuffled."""
+    fresh = [Var(f"R{i}") for i in range(len(q.variables()))]
+    rng.shuffle(fresh)
+    renamed = q.rename(dict(zip(q.variables(), fresh)))
+    body = list(renamed.body)
+    rng.shuffle(body)
+    return ConjunctiveQuery(q.name, renamed.head, tuple(body))
+
+
+def body_only(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    return ConjunctiveQuery(q.name, (), q.body)
+
+
+@given(symmetric_bodies(), st.randoms(use_true_random=False))
+def test_keys_invariant_under_shuffling_up_to_12_atoms(q, rng):
+    copy = shuffled_copy(q, rng)
+    assert canonical_key(copy) == canonical_key(q)
+    assert canonical_body_key(copy) == canonical_body_key(q)
+    head = list(copy.head)
+    rng.shuffle(head)
+    assert view_key(ConjunctiveQuery(q.name, tuple(head), copy.body)) == view_key(q)
+
+
+@given(symmetric_bodies(), symmetric_bodies(), st.randoms(use_true_random=False))
+def test_body_keys_equal_iff_isomorphic(q1, q2, rng):
+    for a, b in ((q1, q2), (q1, shuffled_copy(q1, rng))):
+        isomorphic = bool(brute_isomorphisms(body_only(a), body_only(b)))
+        assert (canonical_body_key(a) == canonical_body_key(b)) == isomorphic
+
+
+@given(symmetric_bodies(), symmetric_bodies(), st.randoms(use_true_random=False))
+def test_body_isomorphisms_match_the_oracle(q1, q2, rng):
+    for a, b in ((q1, q2), (q1, shuffled_copy(q1, rng))):
+        head = [v for v in b.head_vars() if v in b.variables()]
+        got = bodies_isomorphic(a, b)
+        images = [tuple(rho[v] for v in head) for rho in got]
+        assert len(images) == len(set(images))
+        assert set(images) == {tuple(rho[v] for v in head) for rho in brute_isomorphisms(a, b)}
+        for rho in got:
+            assert set(rho) == set(b.variables())
+            assert len(set(rho.values())) == len(rho)
+            assert sorted(map(str, b.rename(rho).body)) == sorted(map(str, a.body))
+
+
+def two_cycles(k: int, n: int) -> ConjunctiveQuery:
+    """Directed cycles of k and n - k atoms over one property."""
+    ring = [Var(f"V{i}") for i in range(n)]
+    body = tuple(TripleAtom(c[i], Const("p"), c[(i + 1) % len(c)])
+                 for c in (ring[:k], ring[k:]) for i in range(len(c)))
+    return ConjunctiveQuery("v", (), body)
+
+
+def test_two_disjoint_cycles_key_exactly():
+    """Refinement leaves all atoms of such a body in one class; copies
+    must still share a key, and other splits of the atoms must not."""
+    rng = random.Random(2014)
+    t0 = time.perf_counter()
+    mismatches = 0
+    for _ in range(200):
+        n = rng.randint(8, 10)
+        k = rng.randint(2, n // 2)
+        q = two_cycles(k, n)
+        mismatches += view_key(shuffled_copy(q, rng)) != view_key(q)
+        other = two_cycles(k + 1 if k < n // 2 else k - 1, n)
+        assert canonical_body_key(other) != canonical_body_key(q)
+    assert mismatches == 0
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_twelve_atom_symmetric_stars_key_exactly():
+    """Twelve spokes from one hub, free or joined in a ring through the
+    property position: refinement leaves the twelve atoms in one class."""
+    x, ys = Var("X"), [Var(f"Y{i}") for i in range(12)]
+    spokes = tuple(TripleAtom(x, Var(f"F{i}"), ys[i]) for i in range(12))
+    wheel = tuple(TripleAtom(x, ys[i - 1], ys[i]) for i in range(12))
+    rng = random.Random(12)
+    for body in (spokes, wheel):
+        star = ConjunctiveQuery("v", (x,), body)
+        for _ in range(5):
+            copy = shuffled_copy(star, rng)
+            assert view_key(copy) == view_key(star)
+            assert canonical_key(copy) == canonical_key(star)
+            assert canonical_body_key(copy) == canonical_body_key(star)
 
 
 def test_view_key_ignores_head_order():

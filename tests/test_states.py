@@ -238,6 +238,25 @@ def test_iter_transitions_yields_duplicates():
     assert len({t.state.signature for t in raw}) == 3
 
 
+def test_view_fusion_yields_every_fused_head():
+    """Two 7-atom stars have 5040 isomorphisms.  v2's head lands on v1's
+    own head column Y0 under some of them and beside it under the rest,
+    so fusing gives a 3-column and a 4-column view: two transitions."""
+    x, z, p = Var("X"), Var("Z"), Const("p")
+    ys = [Var(f"Y{i}") for i in range(7)]
+    ws = [Var(f"W{i}") for i in range(7)]
+    v1 = ConjunctiveQuery("v1", (x, ys[0]), tuple(TripleAtom(x, p, y) for y in ys))
+    v2 = ConjunctiveQuery("v2", (z, ws[6], ws[5]), tuple(TripleAtom(z, p, w) for w in ws))
+    ctx = TransitionContext()
+    s0 = initial_state([v1, v2], ctx)
+    trs = list(iter_transitions(s0, ctx, kinds=("VF",)))
+    assert len(trs) == 2
+    assert sorted(len(t.state.views[0].head) for t in trs) == [3, 4]
+    store = load_triples("a p b\na p c\nd p e\n")
+    for t in trs:
+        assert_rewritings_ok(t.state, [v1, v2], store)
+
+
 def test_transition_walkthrough_script_runs():
     script = Path(__file__).resolve().parent.parent / "scripts" / "transition_walkthrough.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,

@@ -272,6 +272,3 @@ class Estimator:
         scanned = tuple(views[name] for name in dict.fromkeys(scan_views(expr)))
         self._rewriting_costs[id(expr)] = (expr, scanned, cost)
         return cost
-
-    def total(self, state: State) -> float:
-        return self.state_cost(state).total

@@ -256,24 +256,14 @@ def _unify_atom(
     return out
 
 
-def _mappings(
-    src: ConjunctiveQuery,
-    dst: ConjunctiveQuery,
-    seed: dict[Var, Term] | None,
-    limit: int | None = None,
-):
+def _mappings(src: ConjunctiveQuery, dst: ConjunctiveQuery, seed: dict[Var, Term] | None):
     """Yield homomorphisms from src's body into dst's body extending seed."""
     if seed is None:
         return
     order = sorted(range(len(src.body)), key=lambda i: -src.body[i].n_constants())
-    count = 0
 
     def rec(k: int, env: dict[Var, Term]):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
         if k == len(order):
-            count += 1
             yield dict(env)
             return
         a = src.body[order[k]]
@@ -311,9 +301,7 @@ def find_containment_mapping(
     themselves and the i-th head term of src must land on the i-th head term
     of dst.
     """
-    for env in _mappings(src, dst, _head_seed(src, dst), limit=1):
-        return env
-    return None
+    return next(_mappings(src, dst, _head_seed(src, dst)), None)
 
 
 def are_equivalent(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
@@ -567,104 +555,122 @@ def _body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tupl
 # ---------------------------------------------------------------------------
 # query text
 
-_HEAD_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*\(([^)]*)\)\s*$")
-_ATOM_RE = re.compile(r"t\s*\(([^)]*)\)")
+# The token grammar of triple, schema and query text, tried in this order: a
+# "literal", holding anything but '"'; an <IRI> (group iri), holding anything
+# but '>', its '>' followed by whitespace, '#', a stop character or the end
+# of the line; punctuation (group punct); a bare symbol, a run of characters
+# other than whitespace, '#' and stop characters that does not start with
+# '"'; a comment (group comment); an unterminated literal (group open).  Only
+# whitespace lies between matches.  Query text has the stop characters '(',
+# ')' and ',' and the punctuation, so no bare symbol starts with '.' or ':-'.
+TOKEN_GRAMMAR = (r'"[^"]*"|<(?P<iri>[^>]+)>(?=[\s#{stops}]|\Z){punct}'
+                 r'|[^\s#"{stops}][^\s#{stops}]*|(?P<comment>#.*)|(?P<open>")')
+_QUERY_TOKEN = re.compile(TOKEN_GRAMMAR.format(stops="(),", punct=r"|(?P<punct>:-|[(),.])"))
+
+_NAME = re.compile(r"[A-Za-z_][\w.-]*")
+_LPAREN, _RPAREN, _COMMA, _END, _DEFINE = (("punct", p) for p in ("(", ")", ",", ".", ":-"))
+_UNTERMINATED, _T = ("open", '"'), (None, "t")
 
 
-def _parse_term(tok: str, where: str) -> Term:
-    tok = tok.strip()
-    if not tok:
-        raise QueryError(f"{where}: empty term")
-    if tok.startswith("<") and tok.endswith(">") and len(tok) > 2:
-        return Const(tok[1:-1])
-    if tok.startswith('"'):
-        return Const(tok)
-    if tok.startswith("?"):
-        if len(tok) == 1:
+def _statements(text: str):
+    """Query text as statements, each a list of (group, text) tokens: the
+    group is None for a literal or a bare symbol, and an IRI's text has no
+    brackets.  A '.' ends a statement, as does the end of the text.  No
+    token spans a line."""
+    stmt: list[tuple[str | None, str]] = []
+    for line in text.splitlines():
+        for m in _QUERY_TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind == "comment":
+                break
+            tok = (kind, m.group(kind or 0))
+            if tok == _END:
+                yield stmt
+                stmt = []
+            else:
+                stmt.append(tok)
+    yield stmt
+
+
+def _term(tok: tuple[str | None, str], where: str) -> Term:
+    kind, text = tok
+    if kind == "iri":
+        return Const(text)
+    if kind is not None:
+        raise QueryError(f"{where}: {text!r} is not a term")
+    if text[0] == "?":
+        if len(text) == 1:
             raise QueryError(f"{where}: bare '?' is not a variable name")
-        return Var(tok[1:])
-    if tok[0].isupper():
-        return Var(tok)
-    return Const(tok)
+        return Var(text[1:])
+    return Var(text) if text[0].isupper() else Const(text)
 
 
-def _split_args(text: str, where: str) -> list[str]:
-    parts: list[str] = []
-    depth_quote = False
-    cur = []
-    for ch in text:
-        if ch == '"':
-            depth_quote = not depth_quote
-            cur.append(ch)
-        elif ch == "," and not depth_quote:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    if depth_quote:
-        raise QueryError(f"{where}: unterminated string literal")
-    return parts
+def _args(toks: list, i: int, where: str) -> tuple[list[Term], int] | None:
+    """The terms of the parenthesized, comma-separated list at toks[i] and
+    the index after it, or None when no such list starts there."""
+    if toks[i:i + 1] != [_LPAREN] or _RPAREN not in toks[i:]:
+        return None
+    j = toks.index(_RPAREN, i)
+    inner = toks[i + 1:j]
+    if inner[1::2] != [_COMMA] * (len(inner) // 2) or (inner and len(inner) % 2 == 0):
+        return None
+    return [_term(tok, where) for tok in inner[::2]], j + 1
 
 
 def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
     """Parse workload query text.
 
-    One query per statement, terminated by '.'.  Variables begin with an
-    uppercase letter or '?'; '#' starts a comment.  A query whose join graph
-    has several components is split into one query per component, suffixed
-    _p1, _p2, ... in body order.
+    Query text has the tokens of triple text (see `TOKEN_GRAMMAR`) and the
+    punctuation '(', ')', ',', ':-' and '.'.  A statement such as
+    `q1(X, Y) :- t(X, p, Z), t(Z, <http://ex.org/q#1>, Y)` ends with '.' or
+    with the end of the text and may span lines.  Commas between atoms may
+    be missing or repeated.  A bare symbol that starts with an uppercase
+    letter is a variable, as is `?x`, which names x; every other term is a
+    constant: a bare symbol, a literal with its quotes or an IRI without
+    its brackets.  A query whose join graph has several components is split
+    into one query per component, suffixed _p1, _p2, ... in body order.
+    With `validate`, each query must pass `check_workload_query`.
     """
-    stripped = []
-    for line in text.splitlines():
-        quote = False
-        out = []
-        for ch in line:
-            if ch == '"':
-                quote = not quote
-            if ch == "#" and not quote:
-                break
-            out.append(ch)
-        stripped.append("".join(out))
-    blob = "\n".join(stripped)
-
     queries: list[ConjunctiveQuery] = []
     seen_names: set[str] = set()
-    for stmt_no, stmt in enumerate(blob.split("."), start=1):
-        stmt = stmt.strip()
-        if not stmt:
+    for stmt_no, toks in enumerate(_statements(text), start=1):
+        if not toks:
             continue
         where = f"statement {stmt_no}"
-        if ":-" not in stmt:
+        if _UNTERMINATED in toks:
+            raise QueryError(f"{where}: unterminated string literal")
+        if _DEFINE not in toks:
             raise QueryError(f"{where}: missing ':-'")
-        head_text, body_text = stmt.split(":-", 1)
-        m = _HEAD_RE.match(head_text)
-        if not m:
-            raise QueryError(f"{where}: malformed head {head_text.strip()!r}")
-        name = m.group(1)
+        cut = toks.index(_DEFINE)
+        head, body = toks[:cut], toks[cut + 1:]
+        named = head and head[0][0] is None and _NAME.fullmatch(head[0][1])
+        args = _args(head, 1, where) if named else None
+        if args is None or args[1] != len(head):
+            raise QueryError(f"{where}: malformed head {' '.join(t for _, t in head)!r}")
+        name = head[0][1]
         if name in seen_names:
             raise QueryError(f"{where}: duplicate query name {name!r}")
         seen_names.add(name)
-        head_terms: list[Term] = []
-        args = m.group(2).strip()
-        if args:
-            for tok in _split_args(args, where):
-                t = _parse_term(tok, where)
-                if isinstance(t, Const):
-                    raise QueryError(f"{where}: constant {t} in head")
-                head_terms.append(t)
+        for t in args[0]:
+            if isinstance(t, Const):
+                raise QueryError(f"{where}: constant {t} in head")
         atoms: list[TripleAtom] = []
-        consumed = _ATOM_RE.sub("", body_text).replace(",", "").strip()
-        if consumed:
-            raise QueryError(f"{where}: unrecognized body text {consumed!r}")
-        for am in _ATOM_RE.finditer(body_text):
-            toks = _split_args(am.group(1), where)
-            if len(toks) != 3:
-                raise QueryError(f"{where}: atom needs 3 terms, got {len(toks)}")
-            atoms.append(TripleAtom(*(_parse_term(t, where) for t in toks)))
+        i = 0
+        while i < len(body):
+            if body[i] == _COMMA:
+                i += 1
+                continue
+            terms = _args(body, i + 1, where) if body[i] == _T else None
+            if terms is None:
+                raise QueryError(
+                    f"{where}: unrecognized body text {' '.join(t for _, t in body[i:])!r}")
+            if len(terms[0]) != 3:
+                raise QueryError(f"{where}: atom needs 3 terms, got {len(terms[0])}")
+            atoms.append(TripleAtom(*terms[0]))
+            i = terms[1]
         if not atoms:
             raise QueryError(f"{where}: empty body")
-        q = ConjunctiveQuery(name, tuple(head_terms), tuple(atoms))
+        q = ConjunctiveQuery(name, tuple(args[0]), tuple(atoms))
         parts = connected_components(q.body)
         if len(parts) == 1:
             if validate:
@@ -673,9 +679,7 @@ def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
         else:
             for i, part in enumerate(parts, start=1):
                 sub_body = tuple(q.body[j] for j in part)
-                sub_vars = set()
-                for a in sub_body:
-                    sub_vars.update(a.variables())
+                sub_vars = {v for a in sub_body for v in a.variables()}
                 sub_head = tuple(t for t in q.head if t in sub_vars)
                 sub = ConjunctiveQuery(f"{name}_p{i}", sub_head, sub_body)
                 if validate:
@@ -691,22 +695,29 @@ def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
 
 
 def format_query(q: ConjunctiveQuery | UnionQuery) -> str:
+    """Query text for q, a union as one statement per member named
+    name__1, name__2, ...; each term is the token that reads back as it.
+    Raises QueryError for a constant that no query token can hold."""
     if isinstance(q, UnionQuery):
-        lines = []
-        for i, m in enumerate(q.members, start=1):
-            lines.append(format_query(ConjunctiveQuery(f"{q.name}__{i}", m.head, m.body)))
-        return "\n".join(lines)
-    head = ", ".join(_format_term(t) for t in q.head)
-    body = ", ".join(
-        "t(" + ", ".join(_format_term(t) for t in a.terms) + ")" for a in q.body
-    )
+        return "\n".join(format_query(ConjunctiveQuery(f"{q.name}__{i}", m.head, m.body))
+                         for i, m in enumerate(q.members, start=1))
+    head = ", ".join(map(_format_term, q.head))
+    body = ", ".join("t(" + ", ".join(map(_format_term, a.terms)) + ")" for a in q.body)
     return f"{q.name}({head}) :- {body} ."
 
 
 def _format_term(t: Term) -> str:
+    """The query token that reads back as t.  A constant is written as is
+    when it reads whole as one literal or bare token that is no variable and
+    opens no IRI reaching into the next token, else in <>."""
     if isinstance(t, Var):
         return t.name if t.name[:1].isupper() else "?" + t.name
-    # constants that would read back as variables get IRI brackets
-    if t.symbol[:1].isupper() or t.symbol.startswith("?"):
-        return f"<{t.symbol}>"
-    return t.symbol
+    sym = t.symbol
+    if sym.splitlines() == [sym]:  # no token spans a line
+        m = _QUERY_TOKEN.match(sym)
+        if (m is not None and m.end() == len(sym) and m.lastindex is None
+                and not (sym[0].isupper() or sym[0] == "?") and (sym[0] != "<" or ">" in sym)):
+            return sym
+        if ">" not in sym:
+            return f"<{sym}>"
+    raise QueryError(f"no query token reads back as the constant {sym!r}")

@@ -44,6 +44,7 @@ from .queries import (
     canonical_key,
     check_workload_query,
     connected_components,
+    is_connected,
     view_key,
 )
 from .reasoning import MODES, Schema, reformulate
@@ -184,11 +185,6 @@ def _component_vars(body: tuple, idxs) -> set[Var]:
     return out
 
 
-def _sub_connected(body: tuple, idxs) -> bool:
-    sub = tuple(body[i] for i in idxs)
-    return len(connected_components(sub)) <= 1
-
-
 # ---------------------------------------------------------------------------
 # the four transitions
 
@@ -261,22 +257,20 @@ def view_breaks(state: State, slot: int, ctx: TransitionContext):
     n = len(view.body)
     if n <= 2:
         return
-    seen_pairs: set[frozenset[frozenset[int]]] = set()
-    all_idx = set(range(n))
     for k in range(1, n):
         for n1 in itertools.combinations(range(n), k):
-            if not _sub_connected(view.body, n1):
+            if not is_connected(tuple(view.body[i] for i in n1)):
                 continue
-            rest = tuple(sorted(all_idx - set(n1)))
+            rest = set(range(n)) - set(n1)
             for osize in range(0, k):
                 for overlap in itertools.combinations(n1, osize):
-                    n2 = tuple(sorted(set(rest) | set(overlap)))
-                    if not _sub_connected(view.body, n2):
+                    n2 = tuple(sorted(rest.union(overlap)))
+                    # each pair of pieces comes in both orientations: keep
+                    # the one met first
+                    if (len(n2), n2) < (k, n1):
                         continue
-                    pair = frozenset((frozenset(n1), frozenset(n2)))
-                    if pair in seen_pairs:
+                    if not is_connected(tuple(view.body[i] for i in n2)):
                         continue
-                    seen_pairs.add(pair)
                     vars1 = _component_vars(view.body, n1)
                     vars2 = _component_vars(view.body, n2)
                     shared: list[Var] = []

@@ -18,8 +18,10 @@ store's statistics.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .queries import ConjunctiveQuery, Const, TripleAtom, Var
 from .store import TripleStore
@@ -164,24 +166,22 @@ class WorkloadStatistics:
         return cls.from_json(json.loads(text))
 
 
-def _byte_len(symbol: str) -> int:
-    return len(symbol.encode("utf-8"))
-
-
-def _column_stats(triples: list[tuple[str, str, str]]) -> tuple[ColumnStats, ...]:
+def _column_stats(store: TripleStore) -> tuple[ColumnStats, ...]:
+    """Per position, computed from codes with one byte length per distinct
+    code: the sums are of integers, so the order of the triples is moot."""
     cols = []
     for pos in range(3):
-        values = [t[pos] for t in triples]
-        if not values:
+        counts = Counter(map(itemgetter(pos), store.triples))
+        if not counts:
             cols.append(ColumnStats(0, 0.0, 0, 0))
             continue
-        sizes = [_byte_len(v) for v in values]
+        sizes = {code: len(store.dictionary.symbol(code).encode("utf-8")) for code in counts}
         cols.append(
             ColumnStats(
-                distinct=len(set(values)),
-                avg_size=sum(sizes) / len(sizes),
-                min_size=min(sizes),
-                max_size=max(sizes),
+                distinct=len(counts),
+                avg_size=sum(n * sizes[code] for code, n in counts.items()) / len(store),
+                min_size=min(sizes.values()),
+                max_size=max(sizes.values()),
             )
         )
     return tuple(cols)
@@ -202,5 +202,4 @@ def collect_statistics(
         for a in q.body:
             keys.update(atom_patterns(a))
     counts = {key: store.count_pattern(pattern_atom(key)) for key in keys}
-    triples = sorted(store.symbols(t) for t in store.triples)
-    return WorkloadStatistics(len(store), _column_stats(triples), counts)  # type: ignore[arg-type]
+    return WorkloadStatistics(len(store), _column_stats(store), counts)  # type: ignore[arg-type]

@@ -6,18 +6,14 @@ single atom lookup never scans more than its candidates; each is built on
 first use and dropped when the triples change.
 
 Loading collapses duplicate triples.  Triple text is one triple per line,
-three tokens separated by whitespace.  A token is
-  - an <IRI>, stored without its brackets: it may hold '#' and whitespace,
-    but not '>', and its '>' must be followed by whitespace, '#' or the end
-    of the line;
-  - a "literal", stored with its quotes: it may hold anything but '"';
-  - or else a bare symbol, a run of characters other than whitespace and
-    '#' that does not start with '"' (so '<>' and '<a' are bare).
-A '#' outside a literal or an IRI starts a comment.  `_TOKEN` is the one
-statement of this grammar: schema files share it, and `render_symbol`
-writes every symbol that loading can produce so that it reads back
-unchanged.  Lines holding none of
-'"', '#' and '<' load through `str.split`, which reads the same tokens.
+three tokens separated by whitespace.  A token is an <IRI>, stored without
+its brackets, a "literal", stored with its quotes, or a bare symbol; a '#'
+outside a literal or an IRI starts a comment.  `_TOKEN` builds these rules
+from `queries.TOKEN_GRAMMAR`, their one statement, which query text shares:
+schema files read the same tokens, and `render_symbol` writes every symbol
+that loading can produce so that it reads back unchanged.  Lines holding
+none of '"', '#' and '<' load through `str.split`, which reads the same
+tokens.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .queries import Const, ConjunctiveQuery, Term, TripleAtom, UnionQuery, Var
+from .queries import TOKEN_GRAMMAR, Const, ConjunctiveQuery, Term, TripleAtom, UnionQuery, Var
 
 Triple = tuple[int, int, int]
 # an index key: the code at one bound position, or the codes at two
@@ -141,9 +137,8 @@ class TripleStore:
 # loading
 
 
-# A "literal", an <IRI> (group 1), a bare symbol, a comment (group 2) or an
-# unterminated literal (group 3).  Only whitespace lies between matches.
-_TOKEN = re.compile(r'"[^"]*"|<([^>]+)>(?=[\s#]|\Z)|[^\s#"][^\s#]*|(#.*)|(")')
+# no stop characters and no punctuation: groups iri, comment and open
+_TOKEN = re.compile(TOKEN_GRAMMAR.format(stops="", punct=""))
 
 
 def tokenize_line(line: str, where: str) -> list[str]:

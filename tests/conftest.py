@@ -147,17 +147,19 @@ def random_query(rng: random.Random, schema: Schema, max_atoms: int = 3) -> Conj
 
 # characters that make the tokenizer's cases meet, unicode whitespace included
 _TOKEN_CHARS = 'ab<>"# \t\u00a0\u2003\u3000\x1c\u00e9'
-_TEXT = st.text(alphabet=_TOKEN_CHARS, max_size=8)
-_PIECES = st.one_of(_TEXT, _TEXT.map(lambda t: f"<{t}>"),
-                    _TEXT.map(lambda t: '"' + t.replace('"', "") + '"'))
+# and those that query text gives a meaning of its own
+QUERY_CHARS = _TOKEN_CHARS + ".,():-?A"
 
 
 @st.composite
-def loader_symbols(draw):
-    """A symbol that loading some text can produce: `load_triples` cuts
-    the text at every line boundary `str.splitlines` knows before reading
-    tokens, so no symbol holds one."""
-    text = "".join(draw(st.lists(_PIECES, min_size=1, max_size=3)))
+def loader_symbols(draw, chars: str = _TOKEN_CHARS):
+    """A symbol that loading some text drawn from `chars` can produce:
+    `load_triples` cuts the text at every line boundary `str.splitlines`
+    knows before reading tokens, so no symbol holds one."""
+    piece = st.text(alphabet=chars, max_size=8)
+    pieces = st.one_of(piece, piece.map(lambda t: f"<{t}>"),
+                       piece.map(lambda t: '"' + t.replace('"', "") + '"'))
+    text = "".join(draw(st.lists(pieces, min_size=1, max_size=3)))
     try:
         toks = [tok for line in text.splitlines() for tok in tokenize_line(line, "drawn")]
     except StoreError:

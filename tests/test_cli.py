@@ -15,7 +15,7 @@ from rdftuner.queries import parse_queries
 from rdftuner.reasoning import format_schema, parse_schema, saturate
 from rdftuner.stats import WorkloadStatistics, pattern_of
 from rdftuner.store import evaluate, load_triples, materialize
-from rdftuner.workload import make_synthetic_schema
+from rdftuner.workload import make_synthetic_schema, make_synthetic_store
 
 PAINTER_QUERY_TEXT = (
     "q1(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), "
@@ -522,6 +522,35 @@ def test_generate_tune_materialize_answer_round_trip(tmp_path, capsys):
                  "--out", str(doc)]) == 0
     assert main(["materialize", "--plan", str(doc), "--triples", str(t),
                  "--out-dir", str(tmp_path / "views")]) == 0
+    store = load_triples(t.read_text())
+    for query in parse_queries(q.read_text()):
+        ans = tmp_path / f"{query.name}.tsv"
+        assert main(["answer", "--plan", str(doc), "--triples", str(t),
+                     "--query", query.name, "--out", str(ans)]) == 0
+        _, rows = read_tsv(ans)
+        assert rows == evaluate(query, store)
+
+
+def test_iri_store_generate_tune_answer(tmp_path):
+    """Over a store of IRIs, some holding '#', the generated workload reads
+    back, and every query's answer is its evaluation over the store."""
+    synthetic = make_synthetic_store(300, seed=11)
+
+    def iri(sym):  # properties get a '#', which must not start a comment
+        if ":" in sym:
+            return sym
+        return f"<http://ex.org/{sym[0]}{'#' if sym[0] == 'p' else '/'}{sym}>"
+
+    t = tmp_path / "t.txt"
+    t.write_text("".join(" ".join(map(iri, synthetic.symbols(tr))) + "\n"
+                         for tr in sorted(synthetic.triples)))
+    q = tmp_path / "w.txt"
+    assert main(["gen-workload", "--triples", str(t), "--n-queries", "3", "--atoms", "3",
+                 "--shape", "star", "--seed", "11", "--out", str(q)]) == 0
+    assert "#" in q.read_text()
+    doc = tmp_path / "doc.json"
+    assert main(["tune", "--triples", str(t), "--queries", str(q), "--strategy", "gstr",
+                 "--avf", "--timeout", "30", "--out", str(doc)]) == 0
     store = load_triples(t.read_text())
     for query in parse_queries(q.read_text()):
         ans = tmp_path / f"{query.name}.tsv"

@@ -216,9 +216,9 @@ def sweep_monotonicity(queries, store):
     while frontier:
         nxt = []
         for st in frontier:
-            before = est.total(st)
+            before = est.state_cost(st).total
             for tr in iter_transitions(st, ctx):
-                after = est.total(tr.state)
+                after = est.state_cost(tr.state).total
                 slack = REL_TOL * max(abs(before), 1.0)
                 if tr.kind == "SC":
                     assert after >= before - slack, tr.label
@@ -258,7 +258,7 @@ def test_fusion_strictly_helps_on_identical_views():
     fused = [t for t in iter_transitions(s0, ctx) if t.kind == "VF"]
     assert len(fused) == 1
     # storing one copy instead of two is cheaper outright
-    assert est.total(fused[0].state) < est.total(s0)
+    assert est.state_cost(fused[0].state).total < est.state_cost(s0).total
 
 
 def test_random_walk_costs_are_finite(painter_store):

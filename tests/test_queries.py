@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import symmetric_bodies
+from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
@@ -22,6 +22,7 @@ from rdftuner.queries import (
     TripleAtom,
     Var,
     are_equivalent,
+    atom,
     bodies_isomorphic,
     canonical_body_key,
     canonical_key,
@@ -458,6 +459,55 @@ def test_format_parse_identity(q):
     assert back.body == q.body
 
 
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from(VARS),
+                                      loader_symbols(QUERY_CHARS).map(Const))] * 3),
+                min_size=1, max_size=3))
+def test_formatted_constants_read_back(atom_terms):
+    body = tuple(TripleAtom(*terms) for terms in atom_terms)
+    assume(is_connected(body))
+    q = ConjunctiveQuery("q1", tuple(sorted(ConjunctiveQuery("", (), body).variables(),
+                                            key=str)), body)
+    try:
+        text = format_query(q)
+    except QueryError:
+        # only a constant that needs <> and holds '>' has no query token
+        assert any(">" in t.symbol for a in body for t in a.terms if isinstance(t, Const))
+        return
+    assert parse_queries(text, validate=False) == [q]
+
+
+@pytest.mark.parametrize("term, symbol", [
+    ("<http://ex.org/p>", "http://ex.org/p"),
+    ("<http://ex/a#b>", "http://ex/a#b"),
+    ('"3.5"', '"3.5"'),
+    ('"a)b"', '"a)b"'),
+    ("ex.org", "ex.org"),
+])
+def test_parse_reads_iris_and_literals_whole(term, symbol):
+    text = f"q1(X, Y) :- t(X, {term}, Y).q2(?y) :- t(?y, p, {term})  # two statements"
+    q1, q2 = parse_queries(text)
+    assert q1.body == (TripleAtom(Var("X"), Const(symbol), Var("Y")),)
+    assert q2.head == (Var("y"),)
+    assert q2.body == (TripleAtom(Var("y"), Const("p"), Const(symbol)),)
+    assert parse_queries(format_query(q1)) == [q1]
+
+
+@pytest.mark.parametrize("text", [
+    "q(X) :- t(X, p, a b) .",  # whitespace ends a bare symbol
+    'q(X) :- t(X, p, "a"b) .',  # a literal ends at its closing quote
+    "q(X) :- t(X, p, Y), t(Y, :-q, Z) .",  # ':-' is punctuation
+])
+def test_parse_rejects_what_the_tokens_split(text):
+    with pytest.raises(QueryError, match="statement 1"):
+        parse_queries(text)
+
+
+def test_format_rejects_constants_no_token_holds():
+    for symbol in ("A>b", "a b>", "a\nb", '"a\rb"'):
+        with pytest.raises(QueryError):
+            format_query(ConjunctiveQuery("q", (Var("X"),), (atom("X", "p", Const(symbol)),)))
+
+
 def test_parse_question_mark_variables_and_comments():
     text = """
     # workload
@@ -487,3 +537,7 @@ def test_parse_rejects_garbage():
         parse_queries("q(X) :- s(X, p, Y) .")
     with pytest.raises(QueryError):
         parse_queries("q(X) :- t(X, p) .")
+    for text in ('q(X) :- t(X, p, "a) .', "q(X) :- t(X, p, (Y)) .",
+                 "q(X) :- t(X, p, Y,) .", "q(<X>) :- t(X, p, Y) ."):
+        with pytest.raises(QueryError, match="statement 1"):
+            parse_queries(text)

@@ -13,6 +13,11 @@ disconnected; views enforce the same rules at construction time in the state
 layer.  Internal queries produced by rewriting rules may legitimately violate
 them and still need to evaluate.
 
+Terms and atoms are hash-consed: `Var`, `Const` and `TripleAtom` each keep
+one object per value, so two equal terms or atoms are the same object and
+compare and hash by identity.  Hashing a body then costs one pointer per
+atom, which keeps the caches keyed by heads and bodies cheap.
+
 Containment mappings drive equivalence and minimization.  A canonical form,
 equal exactly for isomorphic queries, makes duplicate detection cheap for the
 search and yields the renamings that fuse views.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 
 class QueryError(ValueError):
@@ -33,17 +38,61 @@ class QueryError(ValueError):
 # terms and atoms
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Interned:
+    """Base of the hash-consed terms and atoms.  Each class keeps one object
+    per tuple of field values, built on first use, so equality and hashing
+    are object identity.  The objects are immutable, and pickling or
+    copying one gives back the same object."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+_VARS: dict[str, Var] = {}
+_CONSTS: dict[str, Const] = {}
+_ATOMS: dict[tuple, TripleAtom] = {}
+
+
+class Var(_Interned):
+    __slots__ = ("name",)
+    _fields = ("name",)
     name: str
+
+    def __new__(cls, name: str) -> Var:
+        self = _VARS.get(name)
+        if self is None:
+            self = _VARS[name] = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+        return self
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+class Const(_Interned):
+    __slots__ = ("symbol",)
+    _fields = ("symbol",)
     symbol: str
+
+    def __new__(cls, symbol: str) -> Const:
+        self = _CONSTS.get(symbol)
+        if self is None:
+            self = _CONSTS[symbol] = object.__new__(cls)
+            object.__setattr__(self, "symbol", symbol)
+        return self
 
     def __str__(self) -> str:
         return self.symbol
@@ -56,15 +105,22 @@ RDF_TYPE = Const("rdf:type")
 POSITIONS = ("s", "p", "o")
 
 
-@dataclass(frozen=True, slots=True)
-class TripleAtom:
+class TripleAtom(_Interned):
+    __slots__ = ("s", "p", "o", "terms")
+    _fields = ("s", "p", "o")
     s: Term
     p: Term
     o: Term
+    terms: tuple[Term, Term, Term]
 
-    @property
-    def terms(self) -> tuple[Term, Term, Term]:
-        return (self.s, self.p, self.o)
+    def __new__(cls, s: Term, p: Term, o: Term) -> TripleAtom:
+        terms = (s, p, o)
+        self = _ATOMS.get(terms)
+        if self is None:
+            self = _ATOMS[terms] = object.__new__(cls)
+            for field, t in zip(("s", "p", "o", "terms"), (s, p, o, terms)):
+                object.__setattr__(self, field, t)
+        return self
 
     def variables(self) -> list[Var]:
         return [t for t in self.terms if isinstance(t, Var)]
@@ -72,7 +128,7 @@ class TripleAtom:
     def n_constants(self) -> int:
         return sum(1 for t in self.terms if isinstance(t, Const))
 
-    def replace(self, pos: int, term: Term) -> "TripleAtom":
+    def replace(self, pos: int, term: Term) -> TripleAtom:
         parts = list(self.terms)
         parts[pos] = term
         return TripleAtom(*parts)
@@ -101,21 +157,11 @@ def _coerce(t: Term | str) -> Term:
 # queries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjunctiveQuery:
     name: str
     head: tuple[Term, ...]
     body: tuple[TripleAtom, ...]
-
-    # Hashed once per object: queries key the canonical-form caches here and
-    # the cost caches, and the default dataclass hash would walk every atom
-    # and term on each lookup.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.head, self.body))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def variables(self) -> list[Var]:
         seen: dict[Var, None] = {}
@@ -510,36 +556,33 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> tuple[str, tuple[int,
     return leaves[1][0], leaves[1][1], tuple(gens)
 
 
-@lru_cache(maxsize=200_000)
+# Every key below is cached by the head and body it depends on, never by
+# the query object: a view that only got a fresh name is not canonicalised
+# again, and the caches keep no query alive.  Terms and atoms are interned,
+# so hashing a body hashes the identity of each atom.
+
+
 def canonical_key(q: ConjunctiveQuery) -> str:
     """Serialization invariant under variable renaming and atom reordering.
 
     Two queries get equal keys exactly when they are isomorphic with
     positionally matching heads; equal keys imply equivalent queries.
     """
-    return _canonical(q, ordered_head=True)[0]
+    return _key(q.head, q.body, True)
 
 
-# The two keys below ignore the query's name and are cached by structure, so
-# a view that only got a fresh name is not canonicalised again.  view_key,
-# which every new state asks of each of its views, is also cached by the
-# query object, whose hash is computed once: that saves hashing the whole
-# structure on each call.
-
-
-@lru_cache(maxsize=200_000)
 def view_key(q: ConjunctiveQuery) -> str:
     """Like canonical_key but order-insensitive on the head.
 
     Two views that differ only in head ordering store the same columns, so
     state signatures treat them as the same view.
     """
-    return _view_key(q.head, q.body)
+    return _key(q.head, q.body, False)
 
 
 @lru_cache(maxsize=200_000)
-def _view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
-    return _canonical(ConjunctiveQuery("", head, body), ordered_head=False)[0]
+def _key(head: tuple[Term, ...], body: tuple[TripleAtom, ...], ordered_head: bool) -> str:
+    return _canonical(ConjunctiveQuery("", head, body), ordered_head)[0]
 
 
 def canonical_body_key(q: ConjunctiveQuery) -> str:
@@ -629,7 +672,10 @@ def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
     constant: a bare symbol, a literal with its quotes or an IRI without
     its brackets.  A query whose join graph has several components is split
     into one query per component, suffixed _p1, _p2, ... in body order.
-    With `validate`, each query must pass `check_workload_query`.
+    With `validate`, each query must pass `check_workload_query` and no
+    head may hold a constant.  Without it, head constants are read, as in
+    the union members that `format_query` writes, and a split query keeps
+    them in its first part.
     """
     queries: list[ConjunctiveQuery] = []
     seen_names: set[str] = set()
@@ -652,7 +698,7 @@ def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
             raise QueryError(f"{where}: duplicate query name {name!r}")
         seen_names.add(name)
         for t in args[0]:
-            if isinstance(t, Const):
+            if validate and isinstance(t, Const):
                 raise QueryError(f"{where}: constant {t} in head")
         atoms: list[TripleAtom] = []
         i = 0
@@ -680,7 +726,8 @@ def parse_queries(text: str, validate: bool = True) -> list[ConjunctiveQuery]:
             for i, part in enumerate(parts, start=1):
                 sub_body = tuple(q.body[j] for j in part)
                 sub_vars = {v for a in sub_body for v in a.variables()}
-                sub_head = tuple(t for t in q.head if t in sub_vars)
+                sub_head = tuple(t for t in q.head
+                                 if t in sub_vars or (i == 1 and isinstance(t, Const)))
                 sub = ConjunctiveQuery(f"{name}_p{i}", sub_head, sub_body)
                 if validate:
                     check_workload_query(sub)

@@ -39,6 +39,7 @@ from .queries import (
     Const,
     QueryError,
     Term,
+    TripleAtom,
     Var,
     bodies_isomorphic,
     canonical_key,
@@ -304,17 +305,17 @@ def view_breaks(state: State, slot: int, ctx: TransitionContext):
 
 
 @lru_cache(maxsize=200_000)
-def _constant_pattern(view: ConjunctiveQuery) -> tuple:
+def _constant_pattern(body: tuple[TripleAtom, ...]) -> tuple:
     """Sorted per-atom constants, a cheap invariant of the body's
     isomorphism class: equal canonical body keys imply equal patterns."""
     return tuple(sorted(
         tuple((t.symbol,) if isinstance(t, Const) else () for t in a.terms)
-        for a in view.body
+        for a in body
     ))
 
 
 def view_fusions(state: State, ctx: TransitionContext):
-    patterns = [_constant_pattern(v) for v in state.views]
+    patterns = [_constant_pattern(v.body) for v in state.views]
     for i, j in itertools.combinations(range(len(state.views)), 2):
         v1, v2 = state.views[i], state.views[j]
         if patterns[i] != patterns[j]:

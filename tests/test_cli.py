@@ -3,7 +3,10 @@ files in tmp_path, then inspect exit codes, stdout, and output files."""
 
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
 from rdftuner import cli, reasoning, search
 from rdftuner.algebra import expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
-from rdftuner.queries import parse_queries
+from rdftuner.queries import Const, parse_queries
 from rdftuner.reasoning import format_schema, parse_schema, saturate
 from rdftuner.stats import WorkloadStatistics, pattern_of
 from rdftuner.store import evaluate, load_triples, materialize
@@ -301,6 +304,19 @@ def test_reformulate_members_cover_entailed_answers(painter_files, tmp_path, cap
         assert union_rows == evaluate(direct[0], sat)
 
 
+def test_reformulate_output_reads_back_as_its_members(tmp_path, capsys):
+    queries, schema = tmp_path / "q.txt", tmp_path / "schema.txt"
+    queries.write_text("q(X, C) :- t(X, rdf:type, C) .")
+    schema.write_text("painting rdfs:subClassOf picture\n")
+    assert main(["reformulate", "--queries", str(queries), "--schema", str(schema)]) == 0
+    back = parse_queries(capsys.readouterr().out, validate=False)
+    union = reasoning.reformulate(parse_queries(queries.read_text())[0],
+                                  parse_schema(schema.read_text()))
+    assert [(m.name, m.head, m.body) for m in back] == [
+        (f"q__{i}", m.head, m.body) for i, m in enumerate(union.members, start=1)]
+    assert any(isinstance(t, Const) for m in back for t in m.head)
+
+
 def test_saturate_adds_entailed_triples(painter_files, capsys):
     triples, _, schema = painter_files
     rc = main(["saturate", "--triples", str(triples), "--schema", str(schema)])
@@ -415,6 +431,34 @@ def test_gen_workload_is_deterministic(tmp_path):
     for q in generated:
         assert len(q.body) == 3
         assert evaluate(q, store), "sampled queries must be non-empty"
+
+
+def test_tune_document_does_not_depend_on_hash_order(tmp_path):
+    """Terms and atoms hash by identity, so set order follows memory
+    addresses, and strings hash by a per-process seed; no output may read
+    either order.  Two processes with different hash seeds, one of them
+    with its heap shifted by a few thousand tuples, write the same
+    document."""
+    queries, triples = tmp_path / "q.txt", tmp_path / "t.txt"
+    assert main(["gen-workload", "--shape", "star", "--commonality", "medium", "--atoms", "4",
+                 "--constants", "1", "--out", str(queries), "--triples-out", str(triples)]) == 0
+    docs = []
+    for seed, pad in (("1", 0), ("2", 2999)):
+        out = tmp_path / f"doc{seed}.json"
+        run = (f"_pad = [(i,) * (1 + i % 3) for i in range({pad})]\n"
+               "import sys; from rdftuner.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "tune", "--triples", str(triples), "--queries",
+             str(queries), "--strategy", "gstr", "--avf", "--stop-var", "--max-states", "2",
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        del doc["elapsed_seconds"], doc["trace"]
+        docs.append(doc)
+    assert docs[0]["search"]["created"] > 100
+    assert docs[0] == docs[1]
 
 
 def test_gen_workload_against_existing_store(painter_files, tmp_path, capsys):

@@ -7,7 +7,9 @@ canonical forms and body isomorphisms are checked against a plain
 backtracking isomorphism search on bodies that refinement cannot split.
 """
 
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -323,12 +325,12 @@ def body_only(q: ConjunctiveQuery) -> ConjunctiveQuery:
 
 @given(symmetric_bodies(), st.randoms(use_true_random=False))
 def test_keys_invariant_under_shuffling_up_to_12_atoms(q, rng):
-    copy = shuffled_copy(q, rng)
-    assert canonical_key(copy) == canonical_key(q)
-    assert canonical_body_key(copy) == canonical_body_key(q)
-    head = list(copy.head)
+    other = shuffled_copy(q, rng)
+    assert canonical_key(other) == canonical_key(q)
+    assert canonical_body_key(other) == canonical_body_key(q)
+    head = list(other.head)
     rng.shuffle(head)
-    assert view_key(ConjunctiveQuery(q.name, tuple(head), copy.body)) == view_key(q)
+    assert view_key(ConjunctiveQuery(q.name, tuple(head), other.body)) == view_key(q)
 
 
 @given(symmetric_bodies(), symmetric_bodies(), st.randoms(use_true_random=False))
@@ -387,10 +389,10 @@ def test_twelve_atom_symmetric_stars_key_exactly():
     for body in (spokes, wheel):
         star = ConjunctiveQuery("v", (x,), body)
         for _ in range(5):
-            copy = shuffled_copy(star, rng)
-            assert view_key(copy) == view_key(star)
-            assert canonical_key(copy) == canonical_key(star)
-            assert canonical_body_key(copy) == canonical_body_key(star)
+            other = shuffled_copy(star, rng)
+            assert view_key(other) == view_key(star)
+            assert canonical_key(other) == canonical_key(star)
+            assert canonical_body_key(other) == canonical_body_key(star)
 
 
 def test_view_key_ignores_head_order():
@@ -435,6 +437,37 @@ def test_workload_query_validation():
             )
         )
     check_workload_query(ConjunctiveQuery("q", (x,), (TripleAtom(x, p, y),)))
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+@given(loader_symbols(), loader_symbols())
+def test_terms_and_atoms_are_interned(s, o):
+    v, c = Var(s), Const(s)
+    same = "".join(list(s))  # an equal string, not necessarily the same object
+    assert Var(same) is v and Const(same) is c
+    assert v != c
+    a = TripleAtom(v, Const(o), c)
+    assert TripleAtom(*a.terms) is a
+    assert a.terms == (v, Const(o), c)
+    for obj, field in ((v, "name"), (c, "symbol"), (a, "s"), (a, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, v)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    for obj in (v, c, a):
+        assert pickle.loads(pickle.dumps(obj)) is obj
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+
+
+def test_term_and_atom_reprs():
+    a = TripleAtom(Var("X"), Const("p"), Const("a"))
+    assert repr(a) == ("TripleAtom(s=Var(name='X'), p=Const(symbol='p'), "
+                       "o=Const(symbol='a'))")
+    assert str(a) == "t(X,p,a)"
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +561,17 @@ def test_parse_splits_cartesian_products():
 def test_parse_rejects_constants_in_workload_heads():
     with pytest.raises(QueryError):
         parse_queries("q(a) :- t(a, p, X) .")
+
+
+def test_parse_without_validation_reads_head_constants():
+    (q,) = parse_queries("q__2(X, painting) :- t(X, rdf:type, painting) .", validate=False)
+    assert q.head == (Var("X"), Const("painting"))
+    with pytest.raises(QueryError, match="statement 1: constant painting in head"):
+        parse_queries("q__2(X, painting) :- t(X, rdf:type, painting) .")
+    # split parts keep the head constants in the first part
+    assert [p.head for p in parse_queries("q(X, c, Y) :- t(X, p, a), t(Y, p, b) .",
+                                          validate=False)] == [
+        (Var("X"), Const("c")), (Var("Y"),)]
 
 
 def test_parse_rejects_garbage():

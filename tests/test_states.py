@@ -31,14 +31,18 @@ from rdftuner.queries import (
     TripleAtom,
     Var,
     canonical_body_key,
+    canonical_key,
     view_key,
 )
 from rdftuner.reasoning import parse_schema
 from rdftuner.states import (
     KINDS,
+    Rewriting,
+    State,
     TransitionContext,
     initial_state,
     iter_transitions,
+    view_fusions,
 )
 from rdftuner.store import evaluate, load_triples, materialize
 
@@ -316,6 +320,21 @@ def test_view_and_body_keys_ignore_the_view_name():
     other_body = ConjunctiveQuery("q", q.head, q.body[:1])
     assert view_key(other_body) != view_key(q)
     assert canonical_body_key(other_body) != canonical_body_key(q)
+
+
+def test_key_caches_pin_no_query():
+    """The key caches hold heads and bodies, never the query objects, so a
+    view no state holds any more can be freed."""
+    q = ConjunctiveQuery("pinned", (Var("A"), Var("B")),
+                         (TripleAtom(Var("A"), Const("pin"), Var("B")),))
+    twin = ConjunctiveQuery("twin", (Var("C"),), (TripleAtom(Var("C"), Const("pin"), Var("D")),))
+    state = State((q, twin), (Rewriting("a", Scan("pinned")), Rewriting("b", Scan("twin"))), 1)
+    before = sys.getrefcount(q)
+    view_key(q), canonical_key(q), canonical_body_key(q)
+    children = list(view_fusions(state, TransitionContext()))
+    assert children
+    del children
+    assert sys.getrefcount(q) == before
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .queries import (
     QueryError,
     TripleAtom,
     format_query,
+    key_cache_info,
     parse_queries,
 )
 from .reasoning import (
@@ -176,6 +177,7 @@ def result_document(
     schema: Schema | None,
     config: SearchConfig,
     weights: CostWeights,
+    caches: dict,
 ) -> dict:
     best = result.best
     return {
@@ -220,6 +222,7 @@ def result_document(
             "peak_frontier": result.peak_frontier,
         },
         "trace": [list(row) for row in result.trace],
+        "caches": caches,
     }
 
 
@@ -300,9 +303,18 @@ def cmd_tune(args: argparse.Namespace) -> int:
         cs=args.cs, cr=args.cr, cm=args.cm, c1=args.c1, c2=args.c2, f=args.f
     )
     estimator = Estimator(stats, weights)
+    keys_before = key_cache_info()
     result = run_search(initial, estimator, ctx, config)
+    keys_after = key_cache_info()
 
-    doc = result_document(queries, result, args.mode, schema, config, weights)
+    caches = {
+        "estimator": estimator.cache_counts(),
+        "process": {
+            name: {"hits": hits - keys_before[name][0], "misses": misses - keys_before[name][1]}
+            for name, (hits, misses) in keys_after.items()
+        },
+    }
+    doc = result_document(queries, result, args.mode, schema, config, weights, caches)
     text = json.dumps(doc, indent=2)
     if args.out:
         _write_out(text, args.out)

@@ -19,12 +19,21 @@ never decrease, and a view fusion never increase, the total cost, which the
 search relies on.
 
 A transition changes a few views and the rewritings that scan them; the rest
-of the child state is the parent's own objects.  state_cost therefore
-memoizes each view's space and maintenance terms by the view and each
-rewriting's cost by the identity of its tree, checked against the identity
-of the views that tree scans.  A child state pays only for what its
+of the child state is the parent's own objects, and what the transition
+makes is often a copy, under fresh names, of a view or tree costed before:
+SC and JC name fresh variables, and every new view gets a fresh name.
+state_cost therefore memoizes each view's space and maintenance terms by
+the view's shape (`queries.shape`: its head and body with the variables
+renamed by first occurrence), and each rewriting's cost by the identity of
+its tree, checked against the identity of the views that tree scans, and,
+on a miss there, by the tree's shape (`_tree_shape`: the tree with each
+scan replaced by its view's head and body and the variables renamed across
+the whole tree).  A memoized value is the same to the last bit as a fresh
+computation: the walk compares terms only for equality, which a one-to-one
+renaming keeps, cardinalities depend only on a body's isomorphism class,
+and sums run in tree order.  A child state pays only for what its
 transition changed, and the terms are summed in the same order as a full
-recomputation, so the totals are the same to the last bit.
+recomputation, so the totals are the same to the last bit too.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from .algebra import (
     ThetaJoin,
     scan_views,
 )
-from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var
+from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var, shape
 from .states import State
 from .stats import WorkloadStatistics
 
@@ -106,18 +115,24 @@ class Estimator:
         self._state_cache: weakref.WeakKeyDictionary[State, CostBreakdown] = (
             weakref.WeakKeyDictionary()
         )
-        # view -> (vso term, vmc term)
-        self._view_terms: dict[ConjunctiveQuery, tuple[float, float]] = {}
+        # view shape -> (vso term, vmc term)
+        self._view_terms: dict[tuple, tuple[float, float]] = {}
         # id(tree) -> (tree, the views it scans, its cost)
         self._rewriting_costs: dict[
             int, tuple[Expr, tuple[ConjunctiveQuery, ...], float]
         ] = {}
+        # tree shape -> its cost
+        self._shape_costs: dict[tuple, float] = {}
+        # hits of each memo; every miss adds one entry (see cache_counts)
+        self._hits = {"rows": 0, "view_terms": 0, "rewriting_by_tree": 0,
+                      "rewriting_by_shape": 0}
 
     # -- cardinality ------------------------------------------------------
 
     def body_rows(self, body: tuple[TripleAtom, ...]) -> float:
         cached = self._row_cache.get(body)
         if cached is not None:
+            self._hits["rows"] += 1
             return cached
         counts = [float(self.stats.count(a)) for a in body]
         if any(c == 0.0 for c in counts):
@@ -246,10 +261,13 @@ class Estimator:
         vso = 0.0
         vmc = 0.0
         for v in state.views:
-            terms = self._view_terms.get(v)
+            key = shape(v.head, v.body)
+            terms = self._view_terms.get(key)
             if terms is None:
                 terms = (self.view_rows(v) * self.view_width(v), math.pow(w.f, len(v.body)))
-                self._view_terms[v] = terms
+                self._view_terms[key] = terms
+            else:
+                self._hits["view_terms"] += 1
             vso += terms[0]
             vmc += terms[1]
         by_name = {v.name: v for v in state.views}
@@ -263,12 +281,78 @@ class Estimator:
 
     def _memo_rewriting_cost(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> float:
         """rewriting_cost, reused while the tree and every view it scans are
-        the same objects as when it was costed.  An entry holds its tree, so
-        no other tree can take over its id."""
+        the same objects as when it was costed, and else for a tree of the
+        same shape.  An entry holds its tree, so no other tree can take over
+        its id."""
         entry = self._rewriting_costs.get(id(expr))
         if entry is not None and all(views.get(v.name) is v for v in entry[1]):
+            self._hits["rewriting_by_tree"] += 1
             return entry[2]
-        cost = self.rewriting_cost(expr, views)
+        key = _tree_shape(expr, views)
+        cost = self._shape_costs.get(key)
+        if cost is None:
+            cost = self._shape_costs[key] = self.rewriting_cost(expr, views)
+        else:
+            self._hits["rewriting_by_shape"] += 1
         scanned = tuple(views[name] for name in dict.fromkeys(scan_views(expr)))
         self._rewriting_costs[id(expr)] = (expr, scanned, cost)
         return cost
+
+    def cache_counts(self) -> dict[str, dict[str, int]]:
+        """Hits and misses of each memo since the estimator was made: row
+        estimates by body, view terms by view shape, rewriting costs by tree
+        identity and by tree shape.  No memo evicts, so the misses of each
+        but the tree-identity memo are its size, and that memo's misses are
+        the lookups by tree shape."""
+        hits = self._hits
+        misses = {"rows": len(self._row_cache), "view_terms": len(self._view_terms),
+                  "rewriting_by_shape": len(self._shape_costs)}
+        misses["rewriting_by_tree"] = hits["rewriting_by_shape"] + misses["rewriting_by_shape"]
+        return {name: {"hits": hits[name], "misses": misses[name]} for name in hits}
+
+
+def _tree_shape(expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
+    """The tree in preorder, a flat tuple: each node's type and its terms,
+    with a count before each list of them, a scan as its view's head and
+    body, and every variable as its number in order of first occurrence
+    across the whole tree.  Two trees get equal shapes exactly when one is
+    the other with its views' names and its variables renamed one to one."""
+    out: list = []
+    numbers: dict[Var, int] = {}
+
+    def put(terms) -> None:
+        out.append(len(terms))
+        for t in terms:
+            if isinstance(t, Var):
+                t = numbers.setdefault(t, len(numbers))
+            out.append(t)
+
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        out.append(kind)
+        if kind is Scan:
+            view = views[e.view]
+            put(view.head)
+            out.append(len(view.body))
+            for a in view.body:
+                put(a.terms)
+        elif kind is Select:
+            put((e.left, e.right))
+            stack.append(e.child)
+        elif kind is Project:
+            put(e.columns)
+            stack.append(e.child)
+        elif kind is Rename:
+            put([t for pair in e.mapping for t in pair])
+            stack.append(e.child)
+        elif kind is NatJoin:
+            stack += (e.right, e.left)
+        elif kind is ThetaJoin:
+            put([t for pair in e.pairs for t in pair])
+            stack += (e.right, e.left)
+        else:
+            out.append(len(e.children))
+            stack += reversed(e.children)
+    return tuple(out)

@@ -324,11 +324,6 @@ def reformulate(q: ConjunctiveQuery, schema: Schema) -> UnionQuery:
     return make_union(q.name, members)
 
 
-def reformulation_bound(schema: Schema, q: ConjunctiveQuery) -> int:
-    """Worst-case member count guarantee for the reformulation output."""
-    return (2 * len(schema) ** 2) ** len(q.body)
-
-
 def reformulate_views_for_materialization(
     views: list[ConjunctiveQuery], schema: Schema
 ) -> list[UnionQuery]:

@@ -461,6 +461,61 @@ def test_tune_document_does_not_depend_on_hash_order(tmp_path):
     assert docs[0] == docs[1]
 
 
+def tune_in_subprocess(args: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rdftuner.cli", "tune", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return proc.returncode
+
+
+def test_module_caches_carry_nothing_between_tunes(tmp_path):
+    """The key and shape caches outlive a tune, the cost memos do not: two
+    tunes in one process, of one query file over two stores, each write
+    the document that a fresh process writes."""
+    queries = tmp_path / "q1.txt"
+    stores = [tmp_path / "t1.txt", tmp_path / "t2.txt"]
+    for i, store in enumerate(stores, start=1):
+        # the queries sampled from the second store go unused
+        assert main(["gen-workload", "--shape", "star", "--commonality", "medium",
+                     "--atoms", "4", "--constants", "0", "--store-size", str(300 * i),
+                     "--store-seed", str(i), "--out", str(tmp_path / f"q{i}.txt"),
+                     "--triples-out", str(store)]) == 0
+    docs = {}
+    for where in ("here", "fresh"):
+        for i, store in enumerate(stores):
+            out = tmp_path / f"{where}{i}.json"
+            args = ["--triples", str(store), "--queries", str(queries), "--strategy", "gstr",
+                    "--avf", "--stop-var", "--max-states", "2", "--out", str(out)]
+            assert (main(["tune", *args]) if where == "here" else tune_in_subprocess(args)) == 0
+            doc = json.loads(out.read_text())
+            del doc["elapsed_seconds"], doc["trace"], doc["caches"]
+            docs[where, i] = doc
+    assert docs["here", 0] == docs["fresh", 0] and docs["here", 1] == docs["fresh", 1]
+    assert min(docs["here", i]["search"]["created"] for i in (0, 1)) > 10
+    assert docs["here", 0]["best_cost"] != docs["here", 1]["best_cost"]
+
+
+def test_tune_document_counts_cache_hits(tmp_path):
+    """The caches field: each memo of the estimator, and the process-wide
+    key caches over the search.  On a star workload, rewritings recur under
+    fresh names, so the memo by tree shape has hits."""
+    queries, triples, out = tmp_path / "q.txt", tmp_path / "t.txt", tmp_path / "doc.json"
+    assert main(["gen-workload", "--shape", "star", "--commonality", "medium", "--atoms", "4",
+                 "--constants", "1", "--out", str(queries), "--triples-out", str(triples)]) == 0
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries), "--strategy",
+                 "gstr", "--avf", "--stop-var", "--max-states", "2", "--out", str(out)]) == 0
+    caches = json.loads(out.read_text())["caches"]
+    assert set(caches["estimator"]) == {"rows", "view_terms", "rewriting_by_tree",
+                                        "rewriting_by_shape"}
+    assert set(caches["process"]) == {"view_key", "view_key_shape", "body_form",
+                                      "body_form_shape"}
+    for counts in [*caches["estimator"].values(), *caches["process"].values()]:
+        assert set(counts) == {"hits", "misses"} and min(counts.values()) >= 0
+    by_tree, by_shape = caches["estimator"]["rewriting_by_tree"], caches["estimator"]["rewriting_by_shape"]
+    assert by_shape["hits"] > 0
+    assert by_tree["misses"] == by_shape["hits"] + by_shape["misses"]
+
+
 def test_gen_workload_against_existing_store(painter_files, tmp_path, capsys):
     triples, _, _ = painter_files
     rc = main(["gen-workload", "--triples", str(triples), "--n-queries", "2",

@@ -9,9 +9,10 @@ out by hand from the product-over-divisors rule and frozen here.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import painter_query
-from rdftuner.algebra import NatJoin, Project, Scan, Select, UnionOp
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp
 from rdftuner.cost import CostWeights, Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var
 from rdftuner.states import Rewriting, State, TransitionContext, initial_state, iter_transitions
@@ -354,3 +355,87 @@ def test_one_estimator_shared_by_two_contexts_stays_exact():
         for state in (a, b):
             assert est.state_cost(state) == Estimator(stats).state_cost(state)
     assert same_uid
+
+
+def renamed_state(state: State) -> State:
+    """state with fresh view names and every variable renamed one to one,
+    the same way in every view and tree, to F<i> names as transitions
+    make."""
+    names = {v.name: f"w{i}" for i, v in enumerate(state.views, start=1)}
+    mapping: dict[Var, Var] = {}
+
+    def sub(t):
+        if isinstance(t, Var):
+            return mapping.setdefault(t, Var(f"F{len(mapping) + 1}"))
+        return t
+
+    def tree(e):
+        if isinstance(e, Scan):
+            return Scan(names[e.view])
+        if isinstance(e, Select):
+            return Select(tree(e.child), sub(e.left), sub(e.right))
+        if isinstance(e, Project):
+            return Project(tree(e.child), tuple(map(sub, e.columns)))
+        if isinstance(e, Rename):
+            return Rename(tree(e.child), tuple((sub(a), sub(b)) for a, b in e.mapping))
+        if isinstance(e, NatJoin):
+            return NatJoin(tree(e.left), tree(e.right))
+        if isinstance(e, ThetaJoin):
+            return ThetaJoin(tree(e.left), tree(e.right),
+                             tuple((sub(a), sub(b)) for a, b in e.pairs))
+        return UnionOp(tuple(map(tree, e.children)))
+
+    rewritings = tuple(Rewriting(r.query_name, tree(r.expr)) for r in state.rewritings)
+    views = tuple(
+        ConjunctiveQuery(names[v.name], tuple(map(sub, v.head)),
+                         tuple(TripleAtom(*map(sub, a.terms)) for a in v.body))
+        for v in state.views)
+    return State(views, rewritings, state.uid)
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_a_renamed_state_costs_what_the_original_does(seed, avf, rng):
+    """The view terms and rewriting costs are memoized by shape: a state
+    renamed throughout gets, from an estimator that costed the original,
+    the very cost a fresh estimator gives the original."""
+    queries, store = synthetic_workload(seed)
+    stats = collect_statistics(queries, store)
+    est = Estimator(stats)
+    ctx = TransitionContext()
+    for _, state in walk(initial_state(queries, ctx), ctx, rng, 8, avf):
+        fresh = Estimator(stats).state_cost(state)
+        assert est.state_cost(state) == fresh
+        assert est.state_cost(renamed_state(state)) == fresh
+    counts = est.cache_counts()
+    assert counts["rewriting_by_shape"]["hits"] > 0 and counts["view_terms"]["hits"] > 0
+
+
+def test_a_view_changed_under_its_name_and_head_is_costed_again(est):
+    """Two trees that scan a view of the same name and head, but of another
+    body, have different shapes."""
+    wide = ConjunctiveQuery("v1", (X,), (TripleAtom(X, Const("p"), Y),))
+    narrow = ConjunctiveQuery("v1", (X,), (TripleAtom(X, Const("q"), Y),))
+    costs = []
+    for uid, view in enumerate((wide, narrow, wide, narrow), start=1):
+        tree = Project(Scan("v1"), (X,))
+        state = State((view,), (Rewriting("q", tree),), uid=uid)
+        assert est.state_cost(state).rec == Estimator(est.stats).rewriting_cost(tree, {"v1": view})
+        costs.append(est.state_cost(state).rec)
+    assert costs[0] == costs[2] != costs[1] == costs[3]
+
+
+def test_a_variable_two_scanned_views_share_keeps_their_trees_apart(est):
+    """Costing joins the bodies of the views a tree scans by their
+    variables, so a tree's shape numbers variables across the whole tree:
+    two joins whose views share a variable or not cost apart."""
+    left = ConjunctiveQuery("v1", (X, Y), (TripleAtom(X, Const("p"), Y),))
+    joined = ConjunctiveQuery("v2", (Y, Z), (TripleAtom(Y, Const("q"), Z),))
+    apart = ConjunctiveQuery("v2", (W, Z), (TripleAtom(W, Const("q"), Z),))
+    costs = []
+    for uid, right in enumerate((joined, apart), start=1):
+        tree = NatJoin(Scan("v1"), Scan("v2"))
+        state = State((left, right), (Rewriting("q", tree),), uid=uid)
+        costs.append(est.state_cost(state).rec)
+        assert costs[-1] == Estimator(est.stats).rewriting_cost(tree, {"v1": left, "v2": right})
+    assert costs[0] != costs[1]

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
+from rdftuner import queries as queries_module
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
@@ -36,6 +37,7 @@ from rdftuner.queries import (
     make_union,
     minimize,
     parse_queries,
+    shape,
     view_key,
 )
 from rdftuner.store import TripleStore, evaluate
@@ -401,6 +403,55 @@ def test_view_key_ignores_head_order():
     assert view_key(ConjunctiveQuery("v", (x, y), body)) == view_key(
         ConjunctiveQuery("v", (y, x), body)
     )
+
+
+@st.composite
+def renamed_copies(draw):
+    """A query from `symmetric_bodies` and a copy of it under a one-to-one
+    renaming of its variables, some to F<i> names as transitions make, and
+    under another query name."""
+    q = draw(symmetric_bodies(max_atoms=8))
+    names = st.one_of(st.integers(1, 10**6).map(lambda i: f"F{i}"),
+                      st.from_regex(r"[A-Z][a-z0-9]{0,2}", fullmatch=True))
+    variables = q.variables()
+    fresh = draw(st.lists(names, unique=True, min_size=len(variables),
+                          max_size=len(variables)))
+    other = q.rename({v: Var(n) for v, n in zip(variables, fresh)})
+    return q, ConjunctiveQuery("v" + draw(st.integers(1, 10**6).map(str)), other.head, other.body)
+
+
+@given(renamed_copies())
+def test_keys_ignore_the_names_transitions_invent(pair):
+    q, other = pair
+    assert view_key(other) == view_key(q)
+    assert canonical_key(other) == canonical_key(q)
+    assert canonical_body_key(other) == canonical_body_key(q)
+
+
+@given(renamed_copies())
+def test_a_renamed_copy_is_not_canonicalised_again(pair):
+    """View keys and body forms are cached by shape: once a query has its
+    keys, a renamed copy gets them without a canonical-form search."""
+    q, other = pair
+    keys = view_key(q), canonical_body_key(q)
+    calls = []
+    canonical = queries_module._canonical
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries_module, "_canonical", lambda *a: calls.append(a) or canonical(*a))
+        assert (view_key(other), canonical_body_key(other)) == keys
+        assert bodies_isomorphic(q, other)
+    assert calls == []
+
+
+def test_shapes_number_variables_by_first_occurrence_head_first():
+    x, y, z = Var("X"), Var("Y"), Var("F7")
+    body = (TripleAtom(z, Const("p"), x), TripleAtom(x, y, Const("c")))
+    head, renamed = shape((y, x), body)
+    v0, v1, v2 = Var("_0"), Var("_1"), Var("_2")
+    assert head == (v0, v1)
+    assert renamed == (TripleAtom(v2, Const("p"), v1), TripleAtom(v1, v0, Const("c")))
+    assert shape((y, x), body) is shape((y, x), body)
+    assert shape((x, y), body) != shape((y, x), body)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from rdftuner.queries import (
     Var,
     canonical_body_key,
     canonical_key,
+    shape,
     view_key,
 )
 from rdftuner.reasoning import parse_schema
@@ -323,14 +324,17 @@ def test_view_and_body_keys_ignore_the_view_name():
 
 
 def test_key_caches_pin_no_query():
-    """The key caches hold heads and bodies, never the query objects, so a
-    view no state holds any more can be freed."""
+    """The key and shape caches hold heads and bodies, never the query
+    objects, so a view no state holds any more can be freed."""
     q = ConjunctiveQuery("pinned", (Var("A"), Var("B")),
                          (TripleAtom(Var("A"), Const("pin"), Var("B")),))
     twin = ConjunctiveQuery("twin", (Var("C"),), (TripleAtom(Var("C"), Const("pin"), Var("D")),))
     state = State((q, twin), (Rewriting("a", Scan("pinned")), Rewriting("b", Scan("twin"))), 1)
     before = sys.getrefcount(q)
-    view_key(q), canonical_key(q), canonical_body_key(q)
+    view_key(q), canonical_key(q), canonical_body_key(q), shape(q.head, q.body)
+    renamed = ConjunctiveQuery("renamed", (Var("E"), Var("G")),
+                               (TripleAtom(Var("E"), Const("pin"), Var("G")),))
+    view_key(renamed), canonical_body_key(renamed)
     children = list(view_fusions(state, TransitionContext()))
     assert children
     del children

@@ -19,10 +19,12 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .algebra import (
+    Expr,
     _term_back,
     _term_json,
     eval_expr,
@@ -150,10 +152,6 @@ def view_relations(
 # tune documents
 
 
-def _cost_json(cost) -> dict:
-    return {"vso": cost.vso, "rec": cost.rec, "vmc": cost.vmc, "total": cost.total}
-
-
 def query_to_json(q: ConjunctiveQuery) -> dict:
     return {
         "name": q.name,
@@ -190,14 +188,7 @@ def result_document(
         "stop_var": config.stop_var,
         "timeout": config.timeout,
         "max_states": config.max_states,
-        "weights": {
-            "cs": weights.cs,
-            "cr": weights.cr,
-            "cm": weights.cm,
-            "c1": weights.c1,
-            "c2": weights.c2,
-            "f": weights.f,
-        },
+        "weights": asdict(weights),
         "queries": [query_to_json(q) for q in queries],
         "views": [query_to_json(v) for v in best.views],
         "rewritings": [
@@ -208,8 +199,8 @@ def result_document(
             }
             for r in best.rewritings
         ],
-        "initial_cost": _cost_json(result.initial_cost),
-        "best_cost": _cost_json(result.best_cost),
+        "initial_cost": asdict(result.initial_cost),
+        "best_cost": asdict(result.best_cost),
         "rcr": result.rcr,
         "elapsed_seconds": result.elapsed,
         "timed_out": result.timed_out,
@@ -235,6 +226,14 @@ def load_document(path: str) -> dict:
         raise InputError(f"{path}: unknown mode {mode!r} (expected one of {', '.join(MODES)})")
     if mode != "plain" and doc.get("schema") is None:
         raise InputError(f"{path}: mode {mode!r} needs a schema, and the document has none")
+    # parse what answer and materialize read, so a malformed part is an
+    # input error here and not a failure halfway through a command
+    try:
+        document_views(doc)
+        document_plans(doc)
+        document_schema(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed tune document: {type(exc).__name__}: {exc}") from exc
     return doc
 
 
@@ -242,15 +241,15 @@ def document_views(doc: dict) -> list[ConjunctiveQuery]:
     return [query_from_json(v) for v in doc["views"]]
 
 
+def document_plans(doc: dict) -> dict[str, Expr]:
+    return {r["query"]: expr_from_json(r["expr"]) for r in doc["rewritings"]}
+
+
 def document_schema(doc: dict) -> Schema | None:
     lines = doc.get("schema")
     if lines is None:
         return None
     return parse_schema("\n".join(lines))
-
-
-def document_relations(doc: dict, store: TripleStore) -> dict[str, Relation]:
-    return view_relations(document_views(doc), store, document_schema(doc), doc["mode"])
 
 
 def write_trace(path: str, result: SearchResult) -> None:
@@ -289,6 +288,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     try:
         check_config(config)
+        weights = CostWeights(cs=args.cs, cr=args.cr, cm=args.cm, c1=args.c1, c2=args.c2, f=args.f)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     store = load_store_file(args.triples)
@@ -299,9 +299,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     ctx = TransitionContext()
     initial = initial_state(queries, ctx, mode=args.mode, schema=schema)
     stats = statistics_for_mode(initial.views, store, schema, args.mode)
-    weights = CostWeights(
-        cs=args.cs, cr=args.cr, cm=args.cm, c1=args.c1, c2=args.c2, f=args.f
-    )
     estimator = Estimator(stats, weights)
     keys_before = key_cache_info()
     result = run_search(initial, estimator, ctx, config)
@@ -403,10 +400,11 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 def cmd_materialize(args: argparse.Namespace) -> int:
     doc = load_document(args.plan)
     store = load_store_file(args.triples)
-    relations = document_relations(doc, store)
+    views = document_views(doc)
+    relations = view_relations(views, store, document_schema(doc), doc["mode"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for v in document_views(doc):
+    for v in views:
         rel = relations[v.name]
         (out_dir / f"{v.name}.tsv").write_text(_relation_tsv(rel), encoding="utf-8")
         print(f"{v.name}: {len(rel.rows)} rows -> {out_dir / (v.name + '.tsv')}")
@@ -416,11 +414,10 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     doc = load_document(args.plan)
     store = load_store_file(args.triples)
-    wanted = [r for r in doc["rewritings"] if r["query"] == args.query]
-    if not wanted:
-        known = ", ".join(r["query"] for r in doc["rewritings"])
-        raise InputError(f"no rewriting for query {args.query!r} (have: {known})")
-    expr = expr_from_json(wanted[0]["expr"])
+    plans = document_plans(doc)
+    if args.query not in plans:
+        raise InputError(f"no rewriting for query {args.query!r} (have: {', '.join(plans)})")
+    expr = plans[args.query]
     scanned = set(scan_views(expr))
     views = [v for v in document_views(doc) if v.name in scanned]
     relations = view_relations(views, store, document_schema(doc), doc["mode"])

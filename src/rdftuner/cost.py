@@ -24,11 +24,14 @@ makes is often a copy, under fresh names, of a view or tree costed before:
 SC and JC name fresh variables, and every new view gets a fresh name.
 state_cost therefore memoizes each view's space and maintenance terms by
 the view's shape (`queries.shape`: its head and body with the variables
-renamed by first occurrence), and each rewriting's cost by the identity of
-its tree, checked against the identity of the views that tree scans, and,
-on a miss there, by the tree's shape (`_tree_shape`: the tree with each
-scan replaced by its view's head and body and the variables renamed across
-the whole tree).  A memoized value is the same to the last bit as a fresh
+renamed by first occurrence), and each rewriting's cost by the `Rewriting`
+object, in a weak table whose entries go with their states, and, on a miss
+there, by the tree's shape (`_tree_shape`: the tree with each scan replaced
+by its view's head and body and the variables renamed across the whole
+tree).  A rewriting is made against one state's views and handed on only to
+children that keep every view it scans, and view names are fresh within a
+`TransitionContext`, so it never meets another view under a name it scans.
+A memoized value is the same to the last bit as a fresh
 computation: the walk compares terms only for equality, which a one-to-one
 renaming keeps, cardinalities depend only on a body's isomorphism class,
 and sums run in tree order.  A child state pays only for what its
@@ -50,10 +53,9 @@ from .algebra import (
     Scan,
     Select,
     ThetaJoin,
-    scan_views,
 )
 from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var, shape
-from .states import State
+from .states import Rewriting, State
 from .stats import WorkloadStatistics
 
 
@@ -65,6 +67,14 @@ class CostWeights:
     c1: float = 1.0  # io component of evaluation
     c2: float = 1.0  # cpu component of evaluation
     f: float = 2.0   # maintenance growth per body atom
+
+    def __post_init__(self) -> None:
+        # a negative weight lets a selection cut lower the cost or a view
+        # fusion raise it; NaN fails the comparison too
+        for name, w in vars(self).items():
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"cost weight {name} (--{name}) must be finite and "
+                                 f"at least 0, got {w}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,10 @@ class Estimator:
         )
         # view shape -> (vso term, vmc term)
         self._view_terms: dict[tuple, tuple[float, float]] = {}
-        # id(tree) -> (tree, the views it scans, its cost)
-        self._rewriting_costs: dict[
-            int, tuple[Expr, tuple[ConjunctiveQuery, ...], float]
-        ] = {}
+        # by rewriting object, weakly: a state's children share its rewritings
+        self._costs_by_rewriting: weakref.WeakKeyDictionary[Rewriting, float] = (
+            weakref.WeakKeyDictionary()
+        )
         # tree shape -> its cost
         self._shape_costs: dict[tuple, float] = {}
         # hits of each memo; every miss adds one entry (see cache_counts)
@@ -273,37 +283,30 @@ class Estimator:
         by_name = {v.name: v for v in state.views}
         rec = 0.0
         for r in state.rewritings:
-            rec += self._memo_rewriting_cost(r.expr, by_name)
+            cost = self._costs_by_rewriting.get(r)
+            if cost is not None:
+                self._hits["rewriting_by_tree"] += 1
+            else:
+                key = _tree_shape(r.expr, by_name)
+                cost = self._shape_costs.get(key)
+                if cost is None:
+                    cost = self._shape_costs[key] = self.rewriting_cost(r.expr, by_name)
+                else:
+                    self._hits["rewriting_by_shape"] += 1
+                self._costs_by_rewriting[r] = cost
+            rec += cost
         total = w.cs * vso + w.cr * rec + w.cm * vmc
         out = CostBreakdown(vso, rec, vmc, total)
         self._state_cache[state] = out
         return out
 
-    def _memo_rewriting_cost(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> float:
-        """rewriting_cost, reused while the tree and every view it scans are
-        the same objects as when it was costed, and else for a tree of the
-        same shape.  An entry holds its tree, so no other tree can take over
-        its id."""
-        entry = self._rewriting_costs.get(id(expr))
-        if entry is not None and all(views.get(v.name) is v for v in entry[1]):
-            self._hits["rewriting_by_tree"] += 1
-            return entry[2]
-        key = _tree_shape(expr, views)
-        cost = self._shape_costs.get(key)
-        if cost is None:
-            cost = self._shape_costs[key] = self.rewriting_cost(expr, views)
-        else:
-            self._hits["rewriting_by_shape"] += 1
-        scanned = tuple(views[name] for name in dict.fromkeys(scan_views(expr)))
-        self._rewriting_costs[id(expr)] = (expr, scanned, cost)
-        return cost
-
     def cache_counts(self) -> dict[str, dict[str, int]]:
         """Hits and misses of each memo since the estimator was made: row
-        estimates by body, view terms by view shape, rewriting costs by tree
-        identity and by tree shape.  No memo evicts, so the misses of each
-        but the tree-identity memo are its size, and that memo's misses are
-        the lookups by tree shape."""
+        estimates by body, view terms by view shape, rewriting costs by the
+        `Rewriting` object (`rewriting_by_tree`) and by tree shape.  The
+        memo by rewriting evicts with its rewritings, and its misses are the
+        lookups by tree shape; no other memo evicts, so their misses are
+        their sizes."""
         hits = self._hits
         misses = {"rows": len(self._row_cache), "view_terms": len(self._view_terms),
                   "rewriting_by_shape": len(self._shape_costs)}

@@ -559,18 +559,19 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> tuple[str, tuple[int,
 # Every key below is cached by the head and body it depends on, never by
 # the query object, so the caches keep no query alive.  Terms and atoms are
 # interned, so hashing a body hashes the identity of each atom.  View keys
-# and body forms are cached by shape as well: a miss in the (head, body)
-# cache renames the variables (see `_shape`) and canonicalises the
-# renamed copy once, behind a cache of its own.  Transitions name fresh
-# variables F1, F2, ... from a counter that runs across a whole search, so
-# a view that differs from one seen before only in variable names (or in
-# its own name) is not canonicalised again.  `canonical_key` serves
-# reformulation and fusion and keeps a direct cache: routing it through
-# shapes raised the peak memory of a reformulating tune by about a tenth.
+# and body forms are cached by shape alone: `shape`, whose cache the
+# estimator's view terms share, renames the variables, and each shape is
+# canonicalised once.  Transitions name fresh variables F1, F2, ... from a
+# counter that runs across a whole search, so a view that differs from one
+# seen before only in variable names (or in its own name) is not
+# canonicalised again.  `canonical_key` serves reformulation and fusion and
+# keeps a direct cache: routing it through shapes raised the peak memory of
+# a reformulating tune by about a tenth.
 
 
-def _shape(head: tuple[Term, ...], body: tuple[TripleAtom, ...]
-           ) -> tuple[tuple[Term, ...], tuple[TripleAtom, ...]]:
+@lru_cache(maxsize=200_000)
+def shape(head: tuple[Term, ...], body: tuple[TripleAtom, ...]
+          ) -> tuple[tuple[Term, ...], tuple[TripleAtom, ...]]:
     """The shape of a head and body: both with their variables renamed _0,
     _1, ... in order of first occurrence, head first, and constants kept.
     Two heads and bodies have equal shapes exactly when one is the other
@@ -588,10 +589,6 @@ def _shape(head: tuple[Term, ...], body: tuple[TripleAtom, ...]
 
     s_head = tuple(sub(t) for t in head)
     return s_head, tuple(TripleAtom(sub(a.s), sub(a.p), sub(a.o)) for a in body)
-
-
-# the shape of a view, shared by its view key and its cost terms
-shape = lru_cache(maxsize=200_000)(_shape)
 
 
 def canonical_key(q: ConjunctiveQuery) -> str:
@@ -614,12 +611,7 @@ def view_key(q: ConjunctiveQuery) -> str:
     Two views that differ only in head ordering store the same columns, so
     state signatures treat them as the same view.
     """
-    return _view_key(q.head, q.body)
-
-
-@lru_cache(maxsize=200_000)
-def _view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
-    return _shape_view_key(*shape(head, body))
+    return _shape_view_key(*shape(q.head, q.body))
 
 
 @lru_cache(maxsize=200_000)
@@ -632,12 +624,10 @@ def canonical_body_key(q: ConjunctiveQuery) -> str:
     return _body_form(q.body)[0]
 
 
-@lru_cache(maxsize=200_000)
 def _body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tuple]:
     # the shape keeps atom order, so its canonical atom order and
-    # automorphisms are the body's own; it is not cached, as no cost term
-    # is keyed by a body alone
-    return _shape_body_form(_shape((), body)[1])
+    # automorphisms are the body's own
+    return _shape_body_form(shape((), body)[1])
 
 
 @lru_cache(maxsize=200_000)
@@ -646,10 +636,10 @@ def _shape_body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...]
 
 
 def key_cache_info() -> dict[str, tuple[int, int]]:
-    """Hits and misses of the view-key and body-form caches, by the head
-    and body and by shape, since the process started."""
-    caches = {"view_key": _view_key, "view_key_shape": _shape_view_key,
-              "body_form": _body_form, "body_form_shape": _shape_body_form}
+    """Hits and misses of the shape cache and of the view-key and body-form
+    caches by shape, since the process started."""
+    caches = {"shape": shape, "view_key_shape": _shape_view_key,
+              "body_form_shape": _shape_body_form}
     return {name: fn.cache_info()[:2] for name, fn in caches.items()}
 
 

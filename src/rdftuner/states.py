@@ -53,7 +53,9 @@ from .reasoning import MODES, Schema, reformulate
 KINDS = ("VB", "SC", "JC", "VF")
 
 
-@dataclass(frozen=True)
+# compared by identity: the estimator memoizes a rewriting's cost on the
+# object, which a state's children share while they keep the views it scans
+@dataclass(frozen=True, eq=False)
 class Rewriting:
     query_name: str
     expr: Expr

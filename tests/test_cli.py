@@ -104,7 +104,8 @@ def test_tune_records_flags_in_document(painter_files, tmp_path):
                "--cs", "2", "--cm", "0.25",
                "--out", str(out)])
     assert rc == 0
-    doc = json.loads(out.read_text())
+    text = out.read_text()
+    doc = json.loads(text)
     assert doc["mode"] == "saturate"
     assert doc["strategy"] == "gstr"
     assert doc["avf"] and doc["stop_tt"] and doc["stop_var"]
@@ -112,6 +113,10 @@ def test_tune_records_flags_in_document(painter_files, tmp_path):
     assert doc["max_states"] == 500
     assert doc["weights"]["cs"] == 2.0 and doc["weights"]["cm"] == 0.25
     assert doc["weights"]["cr"] == 1.0  # untouched default
+    # the weights and cost breakdowns are written in their dataclasses' field order
+    assert ('  "weights": {\n    "cs": 2.0,\n    "cr": 1.0,\n    "cm": 0.25,\n'
+            '    "c1": 1.0,\n    "c2": 1.0,\n    "f": 2.0\n  },\n') in text
+    assert list(doc["initial_cost"]) == list(doc["best_cost"]) == ["vso", "rec", "vmc", "total"]
     restored = parse_schema("\n".join(doc["schema"]))
     assert restored.statements == parse_schema(GALLERY_SCHEMA).statements
 
@@ -203,6 +208,39 @@ def test_answer_with_a_view_missing_from_the_document_is_input_error(
                "--query", "q1"])
     assert rc == 2
     assert "no materialized relation for view" in capsys.readouterr().err
+
+
+def drop_views(doc):
+    del doc["views"]
+
+
+def two_term_atom(doc):
+    doc["views"][0]["body"][0].pop()
+
+
+def select_without_left(doc):
+    rewriting = doc["rewritings"][0]
+    rewriting["expr"] = {"op": "select", "right": {"c": "pieta"}, "child": rewriting["expr"]}
+
+
+@pytest.mark.parametrize("command", ["answer", "materialize"])
+@pytest.mark.parametrize("break_doc, error", [
+    (drop_views, "KeyError"),
+    (two_term_atom, "TypeError"),
+    (select_without_left, "KeyError"),
+], ids=["no-views", "two-term-atom", "select-without-left"])
+def test_malformed_documents_are_input_errors(tuned_doc, tmp_path, capsys, command,
+                                              break_doc, error):
+    out, triples = tuned_doc
+    doc = json.loads(out.read_text())
+    break_doc(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    extra = ["--query", "q1"] if command == "answer" else ["--out-dir", str(tmp_path / "views")]
+    assert main([command, "--plan", str(broken), "--triples", str(triples)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: malformed tune document: {error}")
+    assert "Traceback" not in err
 
 
 @pytest.fixture
@@ -507,8 +545,7 @@ def test_tune_document_counts_cache_hits(tmp_path):
     caches = json.loads(out.read_text())["caches"]
     assert set(caches["estimator"]) == {"rows", "view_terms", "rewriting_by_tree",
                                         "rewriting_by_shape"}
-    assert set(caches["process"]) == {"view_key", "view_key_shape", "body_form",
-                                      "body_form_shape"}
+    assert set(caches["process"]) == {"shape", "view_key_shape", "body_form_shape"}
     for counts in [*caches["estimator"].values(), *caches["process"].values()]:
         assert set(counts) == {"hits", "misses"} and min(counts.values()) >= 0
     by_tree, by_shape = caches["estimator"]["rewriting_by_tree"], caches["estimator"]["rewriting_by_shape"]
@@ -577,6 +614,8 @@ def test_max_states_without_a_frontier_exits_2(painter_files, capsys, strategy):
         (["--strategy", "gstr", "--max-states", "-1"], "max_states"),
         (["--strategy", "exnaive", "--max-states", "0"], "max_states"),
         (["--strategy", "dfs", "--timeout", "-0.5"], "timeout"),
+        *[([f"--{name}", value], f"cost weight {name} (--{name}) must be finite and at least 0")
+          for name in ("cs", "cr", "cm", "c1", "c2", "f") for value in ("nan", "-5", "inf")],
     ],
 )
 def test_out_of_range_limits_exit_2(painter_files, capsys, flags, field):

@@ -6,13 +6,14 @@ symbol is one byte, so widths equal arities.  Expected row counts are worked
 out by hand from the product-over-divisors rule and frozen here.
 """
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import painter_query
-from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp, scan_views
 from rdftuner.cost import CostWeights, Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var
 from rdftuner.states import Rewriting, State, TransitionContext, initial_state, iter_transitions
@@ -302,9 +303,9 @@ def walk(state, ctx, rng, steps, avf):
             yield "VF", state
 
 
-def synthetic_workload(seed, commonality="medium"):
+def synthetic_workload(seed, commonality="medium", shape="star"):
     store = make_synthetic_store(400, seed=seed)
-    spec = WorkloadSpec(n_queries=4, atoms_per_query=3, shape="star",
+    spec = WorkloadSpec(n_queries=4, atoms_per_query=3, shape=shape,
                         commonality=commonality, n_constants=1, seed=seed)
     return generate_workload(spec, store), store
 
@@ -355,6 +356,45 @@ def test_one_estimator_shared_by_two_contexts_stays_exact():
         for state in (a, b):
             assert est.state_cost(state) == Estimator(stats).state_cost(state)
     assert same_uid
+
+
+@pytest.mark.parametrize("shape", ["star", "chain", "mixed"])
+@pytest.mark.parametrize("avf", [False, True], ids=["plain", "avf"])
+@settings(max_examples=6)
+@given(seed=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_a_rewriting_handed_on_scans_the_same_views(shape, avf, seed, rng):
+    """The cost memo by `Rewriting` object rests on this: wherever
+    transitions hand a rewriting on, each name it scans is the same view
+    object."""
+    queries, _ = synthetic_workload(seed, shape=shape)
+    ctx = TransitionContext()
+    scanned: dict[Rewriting, dict[str, ConjunctiveQuery]] = {}
+    shared = 0
+    for _, state in walk(initial_state(queries, ctx), ctx, rng, 8, avf):
+        for held in [state, *(tr.state for tr in iter_transitions(state, ctx))]:
+            views = {v.name: v for v in held.views}
+            for r in held.rewritings:
+                mine = {name: views[name] for name in scan_views(r.expr)}
+                first = scanned.setdefault(r, mine)
+                shared += first is not mine
+                assert all(first[name] is view for name, view in mine.items())
+    assert shared
+
+
+def test_the_rewriting_memo_lets_dropped_states_go():
+    queries, store = synthetic_workload(0)
+    est = Estimator(collect_statistics(queries, store))
+    ctx = TransitionContext()
+    root = initial_state(queries, ctx)
+    est.state_cost(root)
+    children = [tr.state for tr in iter_transitions(root, ctx)]
+    list(map(est.state_cost, children))
+    assert len(est._costs_by_rewriting) > len(root.rewritings)
+    del children
+    gc.collect()
+    # what is left is the root's own rewritings, which its children shared
+    assert len(est._costs_by_rewriting) == len(root.rewritings)
+    assert est.state_cost(root) == Estimator(est.stats).state_cost(root)
 
 
 def renamed_state(state: State) -> State:

@@ -8,53 +8,80 @@ scan leaves (replace_scans).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .queries import Const, QueryError, Term, Var
+from .queries import Const, QueryError, Term, Var, _Record, _set
 from .store import Relation
 
 
-@dataclass(frozen=True, slots=True)
-class Scan:
+class Scan(_Record):
+    __slots__ = _fields = ("view",)
     view: str
 
+    def __init__(self, view: str) -> None:
+        _set(self, "view", view)
 
-@dataclass(frozen=True, slots=True)
-class Select:
-    child: "Expr"
+
+class Select(_Record):
+    __slots__ = _fields = ("child", "left", "right")
+    child: Expr
     left: Term
     right: Term
 
+    def __init__(self, child: Expr, left: Term, right: Term) -> None:
+        _set(self, "child", child)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True, slots=True)
-class Project:
-    child: "Expr"
+
+class Project(_Record):
+    __slots__ = _fields = ("child", "columns")
+    child: Expr
     columns: tuple[Term, ...]
 
-
-@dataclass(frozen=True, slots=True)
-class NatJoin:
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, child: Expr, columns: tuple[Term, ...]) -> None:
+        _set(self, "child", child)
+        _set(self, "columns", columns)
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaJoin:
-    left: "Expr"
-    right: "Expr"
+class NatJoin(_Record):
+    __slots__ = _fields = ("left", "right")
+    left: Expr
+    right: Expr
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class ThetaJoin(_Record):
+    __slots__ = _fields = ("left", "right", "pairs")
+    left: Expr
+    right: Expr
     pairs: tuple[tuple[Term, Term], ...]
 
+    def __init__(self, left: Expr, right: Expr, pairs: tuple[tuple[Term, Term], ...]) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pairs", pairs)
 
-@dataclass(frozen=True, slots=True)
-class Rename:
-    child: "Expr"
+
+class Rename(_Record):
+    __slots__ = _fields = ("child", "mapping")
+    child: Expr
     mapping: tuple[tuple[Var, Var], ...]
 
+    def __init__(self, child: Expr, mapping: tuple[tuple[Var, Var], ...]) -> None:
+        _set(self, "child", child)
+        _set(self, "mapping", mapping)
 
-@dataclass(frozen=True, slots=True)
-class UnionOp:
-    children: tuple["Expr", ...]
+
+class UnionOp(_Record):
+    __slots__ = _fields = ("children",)
+    children: tuple[Expr, ...]
+
+    def __init__(self, children: tuple[Expr, ...]) -> None:
+        _set(self, "children", children)
 
 
 Expr = Union[Scan, Select, Project, NatJoin, ThetaJoin, Rename, UnionOp]

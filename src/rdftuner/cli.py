@@ -10,16 +10,20 @@ schema), 3 on unexpected runtime failure.
 Only `tune`, `stats` and `gen-workload` load the search stack (`search`,
 `cost`, `states`, `stats`, `workload`), inside the functions that run it;
 `answer`, `materialize`, `saturate` and `reformulate` load the queries,
-the store, the algebra and reasoning alone.
+the store, the algebra and reasoning alone.  Of these, only the search
+stack uses `dataclasses` (mutable configs with defaults, `asdict` for the
+document, states compared by identity); the other layers write their
+value classes out on `queries._Record`, and `asdict` and `traceback` are
+imported where they are used, so the answering commands never import
+`dataclasses`, whose import was most of their start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-import traceback
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -177,6 +181,8 @@ def result_document(
     weights: CostWeights,
     caches: dict,
 ) -> dict:
+    from dataclasses import asdict
+
     best = result.best
     return {
         "format": DOCUMENT_FORMAT,
@@ -301,6 +307,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
     stats = statistics_for_mode(initial.views, store, schema, args.mode)
     estimator = Estimator(stats, weights)
     keys_before = key_cache_info()
+    try:
+        initial_cost = estimator.state_cost(initial).total
+    except OverflowError:
+        initial_cost = math.inf
+    if not math.isfinite(initial_cost):
+        named = " ".join(f"--{name} {w:g}" for name, w in vars(weights).items())
+        raise InputError(f"the cost of the initial state overflows under the cost "
+                         f"weights {named}; use smaller weights")
     result = run_search(initial, estimator, ctx, config)
     keys_after = key_cache_info()
 
@@ -312,7 +326,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         },
     }
     doc = result_document(queries, result, args.mode, schema, config, weights, caches)
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if args.out:
         _write_out(text, args.out)
         _print_summary(result)
@@ -457,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-var", action="store_true",
                    help="stop expanding states whose views hold no constants")
     p.add_argument("--timeout", type=float,
-                   help="search budget in seconds, at least 0")
+                   help="search budget in seconds, finite and at least 0")
     p.add_argument("--max-states", type=int,
                    help="keep at most this many frontier states (best first), at "
                         "least 1; exnaive and gstr only, rejected with exit 2 otherwise")
@@ -534,6 +548,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
 

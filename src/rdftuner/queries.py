@@ -26,7 +26,6 @@ search and yields the renamings that fuse views.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -38,14 +37,22 @@ class QueryError(ValueError):
 # terms and atoms
 
 
-class _Interned:
-    """Base of the hash-consed terms and atoms.  Each class keeps one object
-    per tuple of field values, built on first use, so equality and hashing
-    are object identity.  The objects are immutable, and pickling or
-    copying one gives back the same object."""
+class _Record:
+    """Base of the immutable value classes: queries, unions, algebra nodes,
+    schemas and relations.  A subclass lists its fields in `_fields` (and
+    in `__slots__`) and sets them in its `__init__` with `_set`.  The base
+    gives what a frozen dataclass would: assigning or deleting a field
+    raises `AttributeError`, equality and hashing go by the field values
+    (an object of another class is never equal), `repr` has the dataclass
+    format, and pickling or copying calls the class on the field values.
+    Written out here, it spares every command the import of `dataclasses`
+    and the code generation of its classes."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -53,12 +60,35 @@ class _Interned:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+# sets a field of a `_Record` in its `__init__`
+_set = object.__setattr__
+
+
+class _Interned(_Record):
+    """Base of the hash-consed terms and atoms.  Each class keeps one object
+    per tuple of field values, built on first use, so equality and hashing
+    are object identity.  Pickling or copying one gives back the same
+    object."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 _VARS: dict[str, Var] = {}
@@ -75,7 +105,7 @@ class Var(_Interned):
         self = _VARS.get(name)
         if self is None:
             self = _VARS[name] = object.__new__(cls)
-            object.__setattr__(self, "name", name)
+            _set(self, "name", name)
         return self
 
     def __str__(self) -> str:
@@ -91,7 +121,7 @@ class Const(_Interned):
         self = _CONSTS.get(symbol)
         if self is None:
             self = _CONSTS[symbol] = object.__new__(cls)
-            object.__setattr__(self, "symbol", symbol)
+            _set(self, "symbol", symbol)
         return self
 
     def __str__(self) -> str:
@@ -119,7 +149,7 @@ class TripleAtom(_Interned):
         if self is None:
             self = _ATOMS[terms] = object.__new__(cls)
             for field, t in zip(("s", "p", "o", "terms"), (s, p, o, terms)):
-                object.__setattr__(self, field, t)
+                _set(self, field, t)
         return self
 
     def variables(self) -> list[Var]:
@@ -157,11 +187,16 @@ def _coerce(t: Term | str) -> Term:
 # queries
 
 
-@dataclass(frozen=True, slots=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(_Record):
+    __slots__ = _fields = ("name", "head", "body")
     name: str
     head: tuple[Term, ...]
     body: tuple[TripleAtom, ...]
+
+    def __init__(self, name: str, head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "head", head)
+        _set(self, "body", body)
 
     def variables(self) -> list[Var]:
         seen: dict[Var, None] = {}
@@ -193,19 +228,21 @@ class ConjunctiveQuery:
         return f"{self.name}({head}) :- {body} ."
 
 
-@dataclass(frozen=True)
-class UnionQuery:
+class UnionQuery(_Record):
     """A union of conjunctive queries of identical head arity."""
 
+    __slots__ = _fields = ("name", "members")
     name: str
     members: tuple[ConjunctiveQuery, ...]
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise QueryError(f"union {self.name} has no members")
-        arities = {len(m.head) for m in self.members}
+    def __init__(self, name: str, members: tuple[ConjunctiveQuery, ...]) -> None:
+        if not members:
+            raise QueryError(f"union {name} has no members")
+        arities = {len(m.head) for m in members}
         if len(arities) != 1:
-            raise QueryError(f"union {self.name} mixes head arities {arities}")
+            raise QueryError(f"union {name} mixes head arities {arities}")
+        _set(self, "name", name)
+        _set(self, "members", members)
 
 
 def make_union(name: str, members: list[ConjunctiveQuery]) -> UnionQuery:

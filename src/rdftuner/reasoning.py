@@ -11,7 +11,6 @@ contract here and is exercised heavily by the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .queries import (
     Const,
@@ -20,6 +19,8 @@ from .queries import (
     TripleAtom,
     UnionQuery,
     Var,
+    _Record,
+    _set,
     canonical_key,
     make_union,
     minimize,
@@ -42,13 +43,23 @@ class SchemaError(ValueError):
     """Raised for malformed schema text."""
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(_Record):
     """A set of (kind, lhs, rhs) statements over class and property names."""
 
+    __slots__ = _fields = ("statements", "declared_classes", "declared_properties")
     statements: frozenset[tuple[str, str, str]]
-    declared_classes: frozenset[str] = frozenset()
-    declared_properties: frozenset[str] = frozenset()
+    declared_classes: frozenset[str]
+    declared_properties: frozenset[str]
+
+    def __init__(
+        self,
+        statements: frozenset[tuple[str, str, str]],
+        declared_classes: frozenset[str] = frozenset(),
+        declared_properties: frozenset[str] = frozenset(),
+    ) -> None:
+        _set(self, "statements", statements)
+        _set(self, "declared_classes", declared_classes)
+        _set(self, "declared_properties", declared_properties)
 
     def __len__(self) -> int:
         return len(self.statements)

@@ -30,6 +30,7 @@ gstr stratum; exstr and dfs have no frontier to cut and reject it.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -350,9 +351,9 @@ def check_config(cfg: SearchConfig) -> None:
         )
     if cfg.max_states is not None and cfg.max_states < 1:
         raise ValueError(f"max_states (--max-states) must be at least 1, got {cfg.max_states}")
-    # also rejects NaN
-    if cfg.timeout is not None and not cfg.timeout >= 0.0:
-        raise ValueError(f"timeout (--timeout) must be at least 0, got {cfg.timeout}")
+    # also rejects NaN, and infinity, which a tune document cannot record
+    if cfg.timeout is not None and not 0.0 <= cfg.timeout < math.inf:
+        raise ValueError(f"timeout (--timeout) must be at least 0 and finite, got {cfg.timeout}")
 
 
 def run_search(

@@ -19,10 +19,19 @@ tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .queries import TOKEN_GRAMMAR, Const, ConjunctiveQuery, Term, TripleAtom, UnionQuery, Var
+from .queries import (
+    TOKEN_GRAMMAR,
+    Const,
+    ConjunctiveQuery,
+    Term,
+    TripleAtom,
+    UnionQuery,
+    Var,
+    _Record,
+    _set,
+)
 
 Triple = tuple[int, int, int]
 # an index key: the code at one bound position, or the codes at two
@@ -188,8 +197,11 @@ def render_symbol(sym: str) -> str:
 
 
 def dump_triples(store: TripleStore) -> str:
-    lines = sorted(" ".join(render_symbol(sym) for sym in store.symbols(t))
-                   for t in store.triples)
+    """The store as triple text, one sorted line per triple.  Each distinct
+    code is rendered once, not once per occurrence."""
+    symbol = store.dictionary.symbol
+    token = {c: render_symbol(symbol(c)) for c in {c for t in store.triples for c in t}}
+    lines = sorted(f"{token[s]} {token[p]} {token[o]}" for s, p, o in store.triples)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -294,13 +306,20 @@ def evaluate(q: ConjunctiveQuery | UnionQuery, store: TripleStore) -> set[tuple[
 # materialization
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A materialized view: named columns plus a set of symbol rows."""
 
+    __slots__ = _fields = ("name", "columns", "rows")
     name: str
     columns: tuple[Term, ...]
-    rows: frozenset[tuple[str, ...]] = field(default_factory=frozenset)
+    rows: frozenset[tuple[str, ...]]
+
+    def __init__(
+        self, name: str, columns: tuple[Term, ...], rows: frozenset[tuple[str, ...]] = frozenset()
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "columns", columns)
+        _set(self, "rows", rows)
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(str(c) for c in self.columns)

@@ -616,6 +616,12 @@ def test_max_states_without_a_frontier_exits_2(painter_files, capsys, strategy):
         (["--strategy", "dfs", "--timeout", "-0.5"], "timeout"),
         *[([f"--{name}", value], f"cost weight {name} (--{name}) must be finite and at least 0")
           for name in ("cs", "cr", "cm", "c1", "c2", "f") for value in ("nan", "-5", "inf")],
+        (["--strategy", "dfs", "--timeout", "inf"],
+         "timeout (--timeout) must be at least 0 and finite"),
+        # finite weights under which the initial cost is infinite or math.pow overflows
+        (["--cs", "1e308"], "initial state overflows under the cost weights --cs 1e+308 --cr 1"),
+        (["--f", "1e308"], "initial state overflows under the cost weights --cs 1 --cr 1 "
+                           "--cm 0.5 --c1 1 --c2 1 --f 1e+308"),
     ],
 )
 def test_out_of_range_limits_exit_2(painter_files, capsys, flags, field):
@@ -625,6 +631,19 @@ def test_out_of_range_limits_exit_2(painter_files, capsys, flags, field):
     captured = capsys.readouterr()
     assert "error:" in captured.err and field in captured.err
     assert captured.out == ""
+
+
+def test_a_finite_cost_near_the_float_limit_writes_strict_json(painter_files, tmp_path):
+    triples, queries, _ = painter_files
+    out = tmp_path / "doc.json"
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries),
+                 "--cr", "1e308", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-RFC-8259 token {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["initial_cost"]["total"] < float("inf")
 
 
 def test_unexpected_failure_exits_3(painter_files, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """What each module imports: no name imported and never used, no search
-stack behind the commands that answer from a tune document, and a package
-root whose public names resolve on first use."""
+stack and no `dataclasses` behind the commands that answer from a tune
+document, and a package root whose public names resolve on first use."""
 
 import ast
 import importlib
@@ -115,7 +115,8 @@ result = [len(reasoning.reformulate(q, schema).members)
 REPORT = """
 import json, sys
 print(json.dumps({"result": result,
-                  "loaded": sorted(m for m in sys.modules if m.startswith("rdftuner"))}))
+                  "loaded": sorted(m for m in sys.modules if m.startswith("rdftuner")),
+                  "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
 """
 
 
@@ -143,6 +144,7 @@ def test_answering_from_a_plan_loads_no_search_stack(painter_plans, command, mod
     assert report["result"] == 0
     assert out.exists()
     assert not set(SEARCH_STACK) & set(report["loaded"])
+    assert report["stdlib"] == []
 
 
 def test_saturate_and_reformulate_load_no_search_stack(painter_plans):
@@ -159,6 +161,7 @@ def test_saturate_and_reformulate_load_no_search_stack(painter_plans):
     assert reformulate["result"] == [len(reasoning.reformulate(painter_query(), schema).members)]
     for report in (saturate, reformulate):
         assert not set(SEARCH_STACK) & set(report["loaded"])
+        assert report["stdlib"] == []
 
 
 def test_tune_loads_the_search_stack(painter_plans):
@@ -168,11 +171,12 @@ def test_tune_loads_the_search_stack(painter_plans):
                                   "--out", str(tmp_path / "again.json")]), tmp_path)
     assert report["result"] == 0
     assert set(SEARCH_STACK) - {"rdftuner.workload"} <= set(report["loaded"])
+    assert "dataclasses" in report["stdlib"]
 
 
 def test_importing_the_package_loads_no_module(tmp_path):
     report = run_probe("import rdftuner\nresult = rdftuner.__version__\n", tmp_path)
-    assert report == {"result": rdftuner.__version__, "loaded": ["rdftuner"]}
+    assert report == {"result": rdftuner.__version__, "loaded": ["rdftuner"], "stdlib": []}
 
 
 # ---------------------------------------------------------------------------

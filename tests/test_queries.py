@@ -8,6 +8,7 @@ backtracking isomorphism search on bodies that refinement cannot split.
 """
 
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -18,11 +19,13 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
 from rdftuner import queries as queries_module
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
     QueryError,
     TripleAtom,
+    UnionQuery,
     Var,
     are_equivalent,
     atom,
@@ -40,7 +43,8 @@ from rdftuner.queries import (
     shape,
     view_key,
 )
-from rdftuner.store import TripleStore, evaluate
+from rdftuner.reasoning import SUBCLASS, Schema
+from rdftuner.store import Relation, TripleStore, evaluate
 
 VARS = [Var(n) for n in "XYZW"]
 CONSTS = [Const(s) for s in ("a", "b", "p", "q")]
@@ -519,6 +523,72 @@ def test_term_and_atom_reprs():
     assert repr(a) == ("TripleAtom(s=Var(name='X'), p=Const(symbol='p'), "
                        "o=Const(symbol='a'))")
     assert str(a) == "t(X,p,a)"
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+
+def _record_cases():
+    x, y = Var("X"), Var("Y")
+    q = ConjunctiveQuery("q", (x,), (TripleAtom(x, Const("p"), y),))
+    return [
+        (ConjunctiveQuery, {"name": "q", "head": (x,), "body": q.body}),
+        (UnionQuery, {"name": "u", "members": (q, q.rename({y: Var("Z")}))}),
+        (Scan, {"view": "v1"}),
+        (Select, {"child": Scan("v1"), "left": x, "right": Const("a")}),
+        (Project, {"child": Scan("v1"), "columns": (x,)}),
+        (NatJoin, {"left": Scan("v1"), "right": Scan("v2")}),
+        (ThetaJoin, {"left": Scan("v1"), "right": Scan("v2"), "pairs": ((x, y),)}),
+        (Rename, {"child": Scan("v1"), "mapping": ((x, y),)}),
+        (UnionOp, {"children": (Scan("v1"), Scan("v2"))}),
+        (Schema, {"statements": frozenset({(SUBCLASS, "a", "b")}),
+                  "declared_classes": frozenset({"c"}), "declared_properties": frozenset()}),
+        (Relation, {"name": "r", "columns": (x, y), "rows": frozenset({("a", "b")})}),
+    ]
+
+
+RECORD_CASES = _record_cases()
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_CASES, ids=[c.__name__ for c, _ in RECORD_CASES])
+def test_value_records_act_as_frozen_dataclasses(cls, fields):
+    """Each value class compares, hashes, refuses changes, pickles, copies
+    and prints as the frozen dataclass with the same fields would."""
+    values = tuple(fields.values())
+    obj = cls(*values)
+    equal = cls(**pickle.loads(pickle.dumps(fields)))
+    assert equal is not obj and equal == obj and not equal != obj
+    assert hash(equal) == hash(obj)
+    assert tuple(getattr(obj, f) for f in fields) == values
+    # another class with as many fields, given the same values
+    twin = next(c for c, f in RECORD_CASES
+                if c not in (cls, UnionQuery) and len(f) == len(fields))
+    assert twin(*values) != obj and obj != twin(*values)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(clone) is cls and clone == obj
+    reference = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)(*values)
+    assert repr(obj) == repr(reference)
+    assert hash(obj) == hash(reference)
+
+
+def test_value_records_keep_their_defaults_and_checks():
+    q = ConjunctiveQuery("q", (Var("X"), Var("Y")), (atom("X", "p", "Y"),))
+    assert repr(q) == ("ConjunctiveQuery(name='q', head=(Var(name='X'), Var(name='Y')), "
+                       "body=(TripleAtom(s=Var(name='X'), p=Const(symbol='p'), "
+                       "o=Var(name='Y')),))")
+    assert Schema(frozenset()) == Schema(frozenset(), frozenset(), frozenset())
+    assert Relation("r", ()).rows == frozenset()
+    with pytest.raises(QueryError, match="no members"):
+        UnionQuery("u", ())
+    with pytest.raises(QueryError, match="mixes head arities"):
+        UnionQuery("u", (q, ConjunctiveQuery("q2", (Var("X"),), q.body)))
 
 
 # ---------------------------------------------------------------------------

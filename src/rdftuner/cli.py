@@ -15,7 +15,8 @@ stack uses `dataclasses` (mutable configs with defaults, `asdict` for the
 document, states compared by identity); the other layers write their
 value classes out on `queries._Record`, and `asdict` and `traceback` are
 imported where they are used, so the answering commands never import
-`dataclasses`, whose import was most of their start-up.
+`dataclasses`, whose import was most of their start-up.  Likewise `main`
+builds the parser of the chosen subcommand alone (`parse_arguments`).
 """
 
 from __future__ import annotations
@@ -444,26 +445,20 @@ def cmd_answer(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rdftuner",
-        description="Materialized view selection for triple pattern workloads.",
+def _add_mode(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--mode",
+        choices=MODES,
+        default="plain",
+        help="how implicit triples are handled (default: plain, explicit only)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mode(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--mode",
-            choices=MODES,
-            default="plain",
-            help="how implicit triples are handled (default: plain, explicit only)",
-        )
 
-    p = sub.add_parser("tune", help="search for a good view set and rewritings")
+def _tune_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triples", required=True, help="triple file, one 's p o' per line")
     p.add_argument("--queries", required=True, help="workload query file")
     p.add_argument("--schema", help="schema statement file")
-    add_mode(p)
+    _add_mode(p)
     p.add_argument("--strategy", choices=sorted(STRATEGIES), default="dfs")
     p.add_argument("--avf", action="store_true", help="aggressive view fusion")
     p.add_argument("--stop-tt", action="store_true",
@@ -483,31 +478,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=2.0, help="maintenance base per view atom")
     p.add_argument("--out", help="write the tune document here instead of stdout")
     p.add_argument("--trace", help="write an improvement trace CSV here")
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("reformulate", help="schema-aware union rewriting of queries")
+
+def _reformulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queries", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_reformulate)
 
-    p = sub.add_parser("saturate", help="add all schema-entailed triples")
+
+def _saturate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triples", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--include-schema-triples", action="store_true",
                    help="also emit the schema statements themselves as triples")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_saturate)
 
-    p = sub.add_parser("stats", help="collect workload statistics as JSON")
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triples", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--schema")
-    add_mode(p)
+    _add_mode(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("gen-workload", help="generate a synthetic workload")
+
+def _gen_workload_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triples", help="sample against this store instead of a synthetic one")
     p.add_argument("--store-size", type=int, default=1000,
                    help="synthetic store size when --triples is absent")
@@ -521,27 +516,74 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write queries here instead of stdout")
     p.add_argument("--triples-out", help="also write the store used for sampling")
-    p.set_defaults(func=cmd_gen_workload)
 
-    p = sub.add_parser("materialize", help="evaluate the views of a tune document")
+
+def _materialize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True, help="tune document (JSON)")
     p.add_argument("--triples", required=True)
     p.add_argument("--out-dir", default="views", help="directory for one TSV per view")
-    p.set_defaults(func=cmd_materialize)
 
-    p = sub.add_parser("answer", help="answer a workload query from materialized views")
+
+def _answer_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True, help="tune document (JSON)")
     p.add_argument("--triples", required=True)
     p.add_argument("--query", required=True, help="workload query name")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_answer)
 
+
+# each subcommand's help, the function that adds its arguments to a parser,
+# and the function that runs it
+COMMANDS = {
+    "tune": ("search for a good view set and rewritings", _tune_arguments, cmd_tune),
+    "reformulate": ("schema-aware union rewriting of queries", _reformulate_arguments,
+                    cmd_reformulate),
+    "saturate": ("add all schema-entailed triples", _saturate_arguments, cmd_saturate),
+    "stats": ("collect workload statistics as JSON", _stats_arguments, cmd_stats),
+    "gen-workload": ("generate a synthetic workload", _gen_workload_arguments,
+                     cmd_gen_workload),
+    "materialize": ("evaluate the views of a tune document", _materialize_arguments,
+                    cmd_materialize),
+    "answer": ("answer a workload query from materialized views", _answer_arguments,
+               cmd_answer),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command line, every subcommand included."""
+    parser = argparse.ArgumentParser(
+        prog="rdftuner",
+        description="Materialized view selection for triple pattern workloads.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_arguments(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the parser of the
+    subcommand argv starts with, which is all a valid command line needs.
+    That parser is the one `build_parser` would make for it, so its help
+    and its errors read the same.  When argv starts with no subcommand, or
+    that parser leaves arguments unread, the full parser parses argv and
+    prints its own usage error."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        _, add_arguments, func = COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"rdftuner {name}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            args.func = func
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_arguments(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (QueryError, SchemaError, StoreError, InputError, OSError, json.JSONDecodeError) as exc:

@@ -430,18 +430,30 @@ def bodies_isomorphic(a: ConjunctiveQuery, b: ConjunctiveQuery) -> list[dict[Var
 # minimization
 
 
+def _foldable(body: list[TripleAtom], i: int) -> bool:
+    """Whether another atom of the body agrees with atom i at each of its
+    constant positions.  A homomorphism maps constants to themselves, so
+    without such an atom none can fold atom i away."""
+    consts = [(pos, t) for pos, t in enumerate(body[i].terms) if isinstance(t, Const)]
+    return any(j != i and all(b.terms[pos] is t for pos, t in consts)
+               for j, b in enumerate(body))
+
+
 def minimize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """Remove redundant atoms until none can be folded away.
 
     An atom is redundant when the full body maps homomorphically into the
     reduced body with head terms fixed.  Greedy one-at-a-time removal reaches
-    a core, which is unique up to renaming.
+    a core, which is unique up to renaming.  The search for that mapping is
+    skipped for an atom no other atom can absorb (see `_foldable`).
     """
     body = list(q.body)
     changed = True
     while changed and len(body) > 1:
         changed = False
         for i in range(len(body)):
+            if not _foldable(body, i):
+                continue
             reduced = body[:i] + body[i + 1 :]
             full = ConjunctiveQuery(q.name, q.head, tuple(body))
             smaller = ConjunctiveQuery(q.name, q.head, tuple(reduced))

@@ -1,9 +1,17 @@
 """Dictionary-encoded in-memory triple store with pattern indexes.
 
 Symbols are interned into dense integer codes once at load time; everything
-downstream joins on integers.  Indexes cover every bound-position mask so a
-single atom lookup never scans more than its candidates; each is built on
-first use and dropped when the triples change.
+downstream joins on integers.  A lookup never scans more than its
+candidates.  A pattern that binds the property is served from the property
+partition, the index of the triples by property; its subject and object
+indexes are built per property, from that property's triples alone, the
+first time a pattern asks for them.  Patterns that leave the property free
+use indexes over the whole store.  Every index is built on first use and
+dropped when the triples change.
+
+`evaluate` compiles each conjunctive query into a join plan before it
+scans, with each step's index fetched once, and tests an atom whose new
+variables nothing after it reads for existence only.
 
 Loading collapses duplicate triples.  Triple text is one triple per line,
 three tokens separated by whitespace.  A token is an <IRI>, stored without
@@ -19,12 +27,14 @@ tokens.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from operator import itemgetter
 
 from .queries import (
     TOKEN_GRAMMAR,
     Const,
     ConjunctiveQuery,
+    QueryError,
     Term,
     TripleAtom,
     UnionQuery,
@@ -37,8 +47,23 @@ Triple = tuple[int, int, int]
 # an index key: the code at one bound position, or the codes at two
 Key = int | tuple[int, int]
 
-# the key of a triple, or of a pattern, in the index over each position mask
-_KEY_OF = {mask: itemgetter(*mask) for mask in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+# the key of a triple, or of a pattern, in the whole-store index of each
+# position mask that leaves the property free, and in the property partition
+_KEY_OF = {mask: itemgetter(*mask) for mask in ((0,), (1,), (2,), (0, 2))}
+
+
+def _grouped(triples, key_of) -> dict:
+    """The triples in lists by their key."""
+    idx: dict = {}
+    get = idx.get
+    for t in triples:
+        key = key_of(t)
+        bucket = get(key)
+        if bucket is None:
+            idx[key] = [t]
+        else:
+            bucket.append(t)
+    return idx
 
 
 class StoreError(ValueError):
@@ -74,7 +99,10 @@ class TripleStore:
     def __init__(self, dictionary: Dictionary | None = None) -> None:
         self.dictionary = dictionary or Dictionary()
         self.triples: set[Triple] = set()
+        # whole-store indexes by position mask
         self._index: dict[tuple[int, ...], dict[Key, list[Triple]]] = {}
+        # per-property indexes by (position, property)
+        self._by_property: dict[tuple[int, int], dict[int, list[Triple]]] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -86,36 +114,49 @@ class TripleStore:
     def add_coded(self, t: Triple) -> None:
         if t not in self.triples:
             self.triples.add(t)
-            self._index.clear()
+            self._drop_indexes()
+
+    def _drop_indexes(self) -> None:
+        self._index.clear()
+        self._by_property.clear()
 
     def symbols(self, t: Triple) -> tuple[str, str, str]:
         d = self.dictionary
         return (d.symbol(t[0]), d.symbol(t[1]), d.symbol(t[2]))
 
     def _index_for(self, mask: tuple[int, ...]) -> dict[Key, list[Triple]]:
+        """The whole-store index of a mask in `_KEY_OF`; (1,) is the property
+        partition."""
         idx = self._index.get(mask)
         if idx is None:
-            idx = {}
-            get = idx.get
-            key_of = _KEY_OF[mask]
-            for t in self.triples:
-                key = key_of(t)
-                bucket = get(key)
-                if bucket is None:
-                    idx[key] = [t]
-                else:
-                    bucket.append(t)
-            self._index[mask] = idx
+            idx = self._index[mask] = _grouped(self.triples, _KEY_OF[mask])
+        return idx
+
+    def _property_index(self, pos: int, p: int) -> dict[int, list[Triple]]:
+        """The triples of property p by their subject (pos 0) or object
+        (pos 2), built from p's partition alone."""
+        idx = self._by_property.get((pos, p))
+        if idx is None:
+            triples = self._index_for((1,)).get(p)
+            if triples is None:
+                return {}
+            idx = self._by_property[pos, p] = _grouped(triples, _KEY_OF[pos,])
         return idx
 
     def lookup(self, pattern: tuple[int | None, int | None, int | None]) -> list[Triple]:
         """All triples matching the partially bound pattern."""
-        mask = tuple(i for i in range(3) if pattern[i] is not None)
+        s, p, o = pattern
+        if p is not None:
+            if s is None:
+                if o is None:
+                    return self._index_for((1,)).get(p, [])
+                return self._property_index(2, p).get(o, [])
+            if o is None:
+                return self._property_index(0, p).get(s, [])
+            return [(s, p, o)] if (s, p, o) in self.triples else []
+        mask = tuple(i for i in (0, 2) if pattern[i] is not None)
         if not mask:
             return list(self.triples)
-        if len(mask) == 3:
-            t = (pattern[0], pattern[1], pattern[2])
-            return [t] if t in self.triples else []  # type: ignore[list-item]
         return self._index_for(mask).get(_KEY_OF[mask](pattern), [])
 
     def count_pattern(self, a: TripleAtom) -> int:
@@ -166,21 +207,28 @@ def tokenize_line(line: str, where: str) -> list[str]:
 def load_triples(text: str, store: TripleStore | None = None) -> TripleStore:
     if store is None:
         store = TripleStore()
-    intern = store.dictionary.intern
+    d = store.dictionary
+    codes = d._by_symbol
+    # a new symbol's code is the number of symbols before it; the code list
+    # gets the new symbols, in code order, once the loop ends
+    intern = codes.setdefault
     add = store.triples.add
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if '"' in line or "#" in line or "<" in line:
-            toks = tokenize_line(line, f"line {lineno}")
-        else:
-            # without quotes, comments or brackets every token is bare
-            toks = line.split()
-        if not toks:
-            continue
-        if len(toks) != 3:
-            raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
-        s, p, o = toks
-        add((intern(s), intern(p), intern(o)))
-    store._index.clear()
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if '"' in line or "#" in line or "<" in line:
+                toks = tokenize_line(line, f"line {lineno}")
+            else:
+                # without quotes, comments or brackets every token is bare
+                toks = line.split()
+            if not toks:
+                continue
+            if len(toks) != 3:
+                raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
+            s, p, o = toks
+            add((intern(s, len(codes)), intern(p, len(codes)), intern(o, len(codes))))
+    finally:
+        d._by_code.extend(islice(codes, len(d._by_code), None))
+        store._drop_indexes()
     return store
 
 
@@ -233,73 +281,197 @@ def _atom_order(q: ConjunctiveQuery) -> list[int]:
 def evaluate(q: ConjunctiveQuery | UnionQuery, store: TripleStore) -> set[tuple[str, ...]]:
     """Answer tuples of q over the store, in head order, duplicates removed.
 
-    Constant head terms are emitted verbatim.  Disconnected bodies evaluate
-    as cross products, which union members produced by rewriting rules may
+    A union is the union of its members' answers.  Each conjunctive query
+    is compiled by `_plan` before anything is scanned: its atoms in
+    `_atom_order`, each with its index fetched once (a bound property's
+    subject or object index, built from that property's triples alone),
+    its constants and repeated-variable checks fixed, and the bindings in
+    a list of slots.  An atom whose new variables neither the head nor a
+    later atom reads only tests existence: its first match continues the
+    join and the others are skipped.  Rows are collected as codes and
+    decoded through the dictionary's code list once the join is done.
+
+    Constant head terms are emitted verbatim; a body constant missing from
+    the dictionary matches nothing.  Disconnected bodies evaluate as cross
+    products, which union members produced by rewriting rules may
     legitimately contain.
     """
     if isinstance(q, UnionQuery):
         out: set[tuple[str, ...]] = set()
         for m in q.members:
-            out |= evaluate(m, store)
+            out |= _evaluate_conjunctive(m, store)
         return out
+    return _evaluate_conjunctive(q, store)
 
+
+def _candidates(store: TripleStore, pattern: list[int | None], prop: int | None,
+                slots: list[int]):
+    """The triples matching an atom, as a function of the slots: `pattern`
+    holds the slot each bound position reads, and `prop` the property's
+    code when it is a constant.  Each index is fetched here, once, except
+    the per-property index of a property variable."""
+    s, p, o = pattern
+    if p is None:
+        if s is not None and o is not None:
+            pair = store._index_for((0, 2))
+            return lambda: pair.get((slots[s], slots[o]), ())
+        pos, key = (0, s) if s is not None else (2, o)
+        idx = store._index_for((pos,))
+        return lambda: idx.get(slots[key], ())
+    if s is not None and o is not None:
+        triples = store.triples
+
+        def full() -> tuple[Triple, ...]:
+            t = (slots[s], slots[p], slots[o])
+            return (t,) if t in triples else ()
+
+        return full
+    if s is None and o is None:
+        part = store._index_for((1,))
+        return lambda: part.get(slots[p], ())
+    pos, key = (0, s) if s is not None else (2, o)
+    if prop is not None:
+        idx = store._property_index(pos, prop)
+        return lambda: idx.get(slots[key], ())
+    by_property = store._property_index
+    return lambda: by_property(pos, slots[p]).get(slots[key], ())
+
+
+def _plan(q: ConjunctiveQuery, store: TripleStore) -> tuple[list[tuple], list[int]] | None:
+    """The steps of q's join plan, and its slots with the constants filled
+    in; None when no row can match (a body constant missing from the
+    dictionary, or a failed existence test).
+
+    Steps follow `_atom_order`.  Slots 0.. hold the head variables in order
+    of first occurrence, then the body's other variables, then the codes of
+    the constants, so every bound position reads a slot.  A step is its
+    candidates (a list when they depend on constants alone, looked up here
+    once, else a function of the slots), the (position, slot) pairs it
+    binds and the position pairs where a variable repeated in the atom
+    must agree.  A step that binds nothing the head or a later step reads
+    only tests existence; one on constants alone is decided here and
+    dropped.
+    """
     d = store.dictionary
-    # constants missing from the dictionary can never match
-    coded_body: list[tuple] = []
-    for a in q.body:
-        coded: list[tuple[str, int] | Var] = []
-        for t in a.terms:
+    order = _atom_order(q)
+    head_vars = q.head_vars()
+    unbound = set(head_vars).difference(*(a.variables() for a in q.body))
+    if unbound:
+        raise QueryError(f"{q.name}: head variable {min(unbound, key=str)} not bound in body")
+    slot_of: dict[Var, int] = {v: i for i, v in enumerate(head_vars)}
+    for i in order:
+        for v in q.body[i].variables():
+            slot_of.setdefault(v, len(slot_of))
+    slots = [0] * len(slot_of)
+    const_slot: dict[int, int] = {}
+    # the variables the head or a step after the k-th reads
+    wanted: list[set[Var]] = []
+    later = set(head_vars)
+    for i in reversed(order):
+        wanted.append(later)
+        later = later | set(q.body[i].variables())
+    wanted.reverse()
+
+    steps: list[tuple] = []
+    bound: set[Var] = set()
+    for i, after in zip(order, wanted):
+        pattern: list[int | None] = [None, None, None]
+        codes: list[int | None] = [None, None, None]
+        first: dict[Var, int] = {}
+        binds: list[tuple[int, int]] = []
+        checks: list[tuple[int, int]] = []
+        reads_variables = False
+        for pos, t in enumerate(q.body[i].terms):
             if isinstance(t, Const):
                 code = d.code(t.symbol)
                 if code is None:
-                    return set()
-                coded.append(("c", code))
+                    return None
+                codes[pos] = code
+                if code not in const_slot:
+                    const_slot[code] = len(slots)
+                    slots.append(code)
+                pattern[pos] = const_slot[code]
+            elif t in bound:
+                pattern[pos] = slot_of[t]
+                reads_variables = True
+            elif t in first:
+                checks.append((first[t], pos))
             else:
-                coded.append(t)
-        coded_body.append(tuple(coded))
+                first[t] = pos
+                if t in after:
+                    binds.append((pos, slot_of[t]))
+        bound.update(first)
+        if not reads_variables:
+            cands = store.lookup((codes[0], codes[1], codes[2]))
+            if not binds:
+                if not any(all(t[a] == t[b] for a, b in checks) for t in cands):
+                    return None
+                continue
+        else:
+            cands = _candidates(store, pattern, codes[1], slots)
+        steps.append((cands, tuple(binds), tuple(checks)))
+    return steps, slots
 
-    order = _atom_order(q)
-    results: set[tuple[str, ...]] = set()
-    head = q.head
 
-    def emit(env: dict[Var, int]) -> None:
-        row = []
-        for t in head:
-            if isinstance(t, Var):
-                row.append(d.symbol(env[t]))
-            else:
-                row.append(t.symbol)
-        results.add(tuple(row))
+def _step(cands, binds, checks, nxt, slots: list[int]):
+    """One step of a plan as a function that runs it and, for each match,
+    the steps after it (`nxt`): for the first match only when the step
+    binds nothing."""
+    probe = (lambda: cands) if isinstance(cands, list) else cands
+    if not binds:
+        if not checks:
+            def run() -> None:
+                if probe():
+                    nxt()
+        else:
+            def run() -> None:
+                for t in probe():
+                    if all(t[a] == t[b] for a, b in checks):
+                        nxt()
+                        return
+    elif len(binds) == 1 and not checks:
+        ((pos, slot),) = binds
 
-    def rec(k: int, env: dict[Var, int]) -> None:
-        if k == len(order):
-            emit(env)
-            return
-        coded = coded_body[order[k]]
-        pattern: list[int | None] = [None, None, None]
-        for i, t in enumerate(coded):
-            if isinstance(t, Var):
-                if t in env:
-                    pattern[i] = env[t]
-            else:
-                pattern[i] = t[1]
-        for triple in store.lookup((pattern[0], pattern[1], pattern[2])):
-            env2 = env
-            ok = True
-            for i, t in enumerate(coded):
-                if isinstance(t, Var) and t not in env:
-                    if env2 is env:
-                        env2 = dict(env)
-                    if t in env2 and env2[t] != triple[i]:
-                        # same fresh variable at two positions of this atom
-                        ok = False
-                        break
-                    env2[t] = triple[i]
-            if ok:
-                rec(k + 1, env2)
+        def run() -> None:
+            for t in probe():
+                slots[slot] = t[pos]
+                nxt()
+    else:
+        def run() -> None:
+            for t in probe():
+                if checks and not all(t[a] == t[b] for a, b in checks):
+                    continue
+                for pos, slot in binds:
+                    slots[slot] = t[pos]
+                nxt()
+    return run
 
-    rec(0, {})
-    return results
+
+def _evaluate_conjunctive(q: ConjunctiveQuery, store: TripleStore) -> set[tuple[str, ...]]:
+    """Run q's plan as a chain of steps ending in one that keeps the head
+    variables' codes, then decode the distinct rows."""
+    plan = _plan(q, store)
+    if plan is None:
+        return set()
+    steps, slots = plan
+    head_vars = q.head_vars()
+    n = len(head_vars)
+    codes: set[tuple[int, ...]] = set()  # the head variables' codes
+    add = codes.add
+    if n > 1:
+        get = itemgetter(*range(n))
+        run = lambda: add(get(slots))  # noqa: E731
+    else:
+        run = lambda: add(tuple(slots[:n]))  # noqa: E731
+    for cands, binds, checks in reversed(steps):
+        run = _step(cands, binds, checks, run, slots)
+    run()
+
+    symbol = store.dictionary._by_code
+    if q.head == tuple(head_vars):
+        return {tuple(map(symbol.__getitem__, r)) for r in codes}
+    envs = ({v: symbol[c] for v, c in zip(head_vars, r)} for r in codes)
+    return {tuple(env[t] if isinstance(t, Var) else t.symbol for t in q.head) for env in envs}
 
 
 # ---------------------------------------------------------------------------

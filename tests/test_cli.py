@@ -663,6 +663,46 @@ def test_missing_subcommand_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def _parse_outcome(parse, argv, capsys):
+    """The namespace, or the exit code, and what parsing argv printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+COMMAND_LINES = [
+    [], ["-h"], ["--help"], ["nosuch"], ["--nosuch", "tune"], ["-h", "tune"], ["--", "tune"],
+    *([c, flag] for c in cli.COMMANDS for flag in ("-h", "--help", "--bogus")),
+    *([c, "extra", "words"] for c in cli.COMMANDS),
+    *([c] for c in cli.COMMANDS),
+    ["tune", "--triples", "t", "--queries", "q", "--timeout", "abc"],
+    ["tune", "--triples", "t", "--queries", "q", "--strategy", "nope"],
+    ["tune", "--triples", "t", "--queries", "q", "--mode", "x", "--avf"],
+    ["tune", "--tri", "t", "--que", "q", "--max-states", "3", "--stop-var"],
+    ["tune", "--triples", "t", "--queries", "q", "--c", "1"],
+    ["tune", "--triples", "t", "--queries", "q", "-h", "--bogus"],
+    ["stats", "--triples", "t", "--queries", "q", "--mode", "post", "--out", "o"],
+    ["gen-workload", "--shape", "ring"], ["gen-workload", "--atoms", "x"],
+    ["gen-workload", "--shape", "chain", "--seed", "4"],
+    ["saturate", "--triples", "t", "--schema", "s", "--include-schema-triples"],
+    ["reformulate", "--queries", "q", "--schema", "s", "--out", "o", "tail"],
+    ["materialize", "--plan", "p", "--triples", "t"],
+    ["answer", "--plan", "p", "--triples", "t", "--query", "q1", "--out", "o"],
+    ["answer", "--plan", "p", "--triples", "t", "--query"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_parsing_one_subcommand_reads_like_the_full_parser(argv, capsys):
+    """`main` builds the chosen subcommand's parser alone; every help text,
+    usage error and parsed namespace is the full parser's, byte for byte."""
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(cli.parse_arguments, argv, capsys) == full
+
+
 # ---------------------------------------------------------------------------
 # the whole pipeline in one breath
 

@@ -15,7 +15,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
 from rdftuner import queries as queries_module
@@ -178,6 +178,31 @@ def test_minimize_yields_a_core(q):
             assert not are_equivalent(
                 ConjunctiveQuery(small.name, small.head, body), small
             )
+
+
+def unguarded_minimize(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The greedy loop of `minimize` with a containment search for every
+    atom."""
+    body = list(q.body)
+    changed = True
+    while changed and len(body) > 1:
+        changed = False
+        for i in range(len(body)):
+            reduced = body[:i] + body[i + 1:]
+            if find_containment_mapping(ConjunctiveQuery(q.name, q.head, tuple(body)),
+                                        ConjunctiveQuery(q.name, q.head, tuple(reduced))) is not None:
+                body = reduced
+                changed = True
+                break
+    return ConjunctiveQuery(q.name, q.head, tuple(body))
+
+
+@settings(max_examples=200)
+@given(queries(max_atoms=5))
+def test_minimize_skips_only_atoms_nothing_absorbs(q):
+    """Skipping the search for atoms that no other atom agrees with on
+    their constants removes the same atoms, in the same order."""
+    assert minimize(q) == unguarded_minimize(q)
 
 
 # ---------------------------------------------------------------------------

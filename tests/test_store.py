@@ -5,9 +5,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, UnionQuery, Var
+from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, UnionQuery, Var
 from rdftuner.store import (
     StoreError,
     TripleStore,
@@ -60,6 +60,130 @@ def test_evaluate_matches_naive_randomized():
         store = random_store(rng, schema, max_triples=25)
         q = random_query(rng, schema)
         assert evaluate(q, store) == naive_evaluate(q, store)
+
+
+# Properties also occur as subjects and objects, so a property variable can
+# be bound to a code that is no property; "zz" is in no store.
+VOCAB = ["a", "b", "p", "q"]
+TERMS = st.sampled_from([Var(f"X{i}") for i in range(4)] + [Const(c) for c in VOCAB + ["zz"]])
+VOCAB_TRIPLES = st.lists(st.tuples(*[st.sampled_from(VOCAB)] * 3), max_size=8)
+
+
+def store_of(triples):
+    store = TripleStore()
+    for t in triples:
+        store.add(*t)
+    return store
+
+
+@st.composite
+def conjunctive_queries(draw, arity=None):
+    """1 to 4 atoms over the vocabulary with variables anywhere, repeated
+    within an atom or not; a head of body variables and constants.  Small
+    heads leave atoms whose new variables nothing reads, which evaluate as
+    existence tests."""
+    body = tuple(draw(st.lists(st.builds(TripleAtom, TERMS, TERMS, TERMS),
+                               min_size=1, max_size=4)))
+    body_vars = list(dict.fromkeys(v for a in body for v in a.variables()))
+    consts = st.sampled_from([Const(c) for c in ("a", "zz")])
+    term = st.sampled_from(body_vars) | consts if body_vars else consts
+    if arity is None:
+        arity = draw(st.integers(0, 3))
+    return ConjunctiveQuery("q", tuple(draw(st.lists(term, min_size=arity, max_size=arity))),
+                            body)
+
+
+@st.composite
+def queries_and_unions(draw):
+    arity = draw(st.integers(0, 3))
+    members = draw(st.lists(conjunctive_queries(arity), min_size=1, max_size=3))
+    return members[0] if len(members) == 1 else UnionQuery("q", tuple(members))
+
+
+@settings(max_examples=300)
+@given(VOCAB_TRIPLES, queries_and_unions())
+def test_evaluate_matches_naive(triples, q):
+    store = store_of(triples)
+    assert evaluate(q, store) == naive_evaluate(q, store)
+
+
+def _joins_through_every_index():
+    """Two-atom queries whose second atom probes, in turn, each index: the
+    subject and object index of a constant and of a variable property, the
+    property partition, the whole-store (s), (o) and (s, o) indexes, and
+    the triple set when every position is bound."""
+    x, y, z, w, v = (Var(n) for n in ("X", "Y", "Z", "W", "V"))
+    p = Const("p")
+    first = TripleAtom(x, y, z)
+    seconds = [TripleAtom(z, p, w), TripleAtom(w, p, x), TripleAtom(z, y, w),
+               TripleAtom(w, y, x), TripleAtom(w, y, v), TripleAtom(z, w, v),
+               TripleAtom(v, w, x), TripleAtom(x, w, z), TripleAtom(z, p, x),
+               TripleAtom(z, y, x)]
+    return [ConjunctiveQuery("j", (x, y, z, *(u for u in (w, v) if u in a.variables())),
+                             (first, a)) for a in seconds]
+
+
+@settings(max_examples=150)
+@given(VOCAB_TRIPLES, VOCAB_TRIPLES, st.lists(conjunctive_queries(), max_size=3))
+def test_evaluate_after_adding_triples(before, added, drawn):
+    """Triples added after an evaluation drop the indexes it built,
+    per-property ones too, so the next evaluation sees them."""
+    store = store_of(before)
+    queries = drawn + _joins_through_every_index()
+    for q in queries:
+        evaluate(q, store)
+    for t in added:
+        store.add(*t)
+    store.add("new", "p", "a")
+    for q in queries:
+        assert evaluate(q, store) == naive_evaluate(q, store)
+
+
+def test_evaluate_existence_tests_and_head_constants():
+    store = load_triples("a p b\na p c\nb q a\nc q a\nd p e\n")
+    x, y, z, w = (Var(v) for v in "XYZW")
+    p, q = Const("p"), Const("q")
+    # Y and Z are read by nothing after their atoms: existence tests
+    exists = ConjunctiveQuery("e", (x, Const("k")), (TripleAtom(x, p, y), TripleAtom(y, q, z)))
+    assert evaluate(exists, store) == {("a", "k")}
+    # a test on constants alone decides the whole query
+    always = ConjunctiveQuery("e", (x,), (TripleAtom(x, p, Const("e")), TripleAtom(Const("b"), q, w)))
+    assert evaluate(always, store) == {("d",)}
+    never = ConjunctiveQuery("e", (x,), (TripleAtom(x, p, y), TripleAtom(Const("a"), q, w)))
+    assert evaluate(never, store) == set()
+    # a repeated head variable, and a property variable
+    assert evaluate(ConjunctiveQuery("r", (z, x, z), (TripleAtom(x, z, y),)), store) == {
+        ("p", "a", "p"), ("q", "b", "q"), ("q", "c", "q"), ("p", "d", "p")}
+    # an existence test whose repeated variable Z must match itself
+    store = load_triples("a p b\na p c\nb q a\nc q a\nd p e\ne r r\nf p g\ng s h\n")
+    repeated = ConjunctiveQuery("e", (x,), (TripleAtom(x, p, y), TripleAtom(y, z, z)))
+    assert evaluate(repeated, store) == {("d",)}
+
+
+def test_evaluate_rejects_an_unbound_head_variable():
+    store = load_triples("a p b\n")
+    q = ConjunctiveQuery("u", (Var("Y"),), (TripleAtom(Var("X"), Const("p"), Const("b")),))
+    with pytest.raises(QueryError, match="head variable Y not bound in body"):
+        evaluate(q, store)
+
+
+@given(VOCAB_TRIPLES, st.tuples(*[st.sampled_from([None] + VOCAB + ["zz"])] * 3),
+       st.sampled_from([(), (0, 2), (0, 1), (1, 2)]))
+def test_count_pattern_and_lookup_match_naive_for_every_mask(triples, consts, repeat):
+    """Every bound-position mask, with a variable repeated at two free
+    positions or not, against the naive evaluator."""
+    store = store_of(triples)
+    terms = [Const(c) if c is not None else Var(f"V{i}") for i, c in enumerate(consts)]
+    if repeat and all(consts[i] is None for i in repeat):
+        terms[repeat[1]] = terms[repeat[0]]
+    atom = TripleAtom(*terms)
+    q = ConjunctiveQuery("c", tuple(dict.fromkeys(atom.variables())), (atom,))
+    assert store.count_pattern(atom) == len(naive_evaluate(q, store))
+    d = store.dictionary
+    if all(c is None or d.code(c) is not None for c in consts):
+        pattern = tuple(None if c is None else d.code(c) for c in consts)
+        assert sorted(store.lookup(pattern)) == sorted(
+            t for t in store.triples if all(c is None or c == v for c, v in zip(pattern, t)))
 
 
 def test_evaluate_painter_example(painter_store):

@@ -141,27 +141,17 @@ def _transitive_closure(pairs: list[tuple[str, str]]) -> dict[str, set[str]]:
     for l, r in pairs:
         direct.setdefault(l, set()).add(r)
     closure: dict[str, set[str]] = {}
-
-    def reach(x: str) -> set[str]:
-        got = closure.get(x)
-        if got is not None:
-            return got
-        closure[x] = set()  # cycle guard; filled below
+    for x in direct:
         acc: set[str] = set()
         stack = [x]
         seen = {x}
         while stack:
-            cur = stack.pop()
-            for nxt in direct.get(cur, ()):
+            for nxt in direct.get(stack.pop(), ()):
                 acc.add(nxt)
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         closure[x] = acc
-        return acc
-
-    for l in direct:
-        reach(l)
     return closure
 
 

@@ -12,6 +12,12 @@ mentions the replaced view symbol:
   VB  break a view into two overlapping connected pieces, rejoined naturally.
   VF  fuse two views with isomorphic bodies into one serving both roles.
 
+SC, JC and VB give each view they make the same head: the replaced view's
+head terms that its atoms bind, its head constants unless the piece is the
+second of two, and then each join variable the head still lacks (the fresh
+variable of a cut, the cut variable, or the variables two pieces share).
+VF fuses only views of one canonical body form.
+
 States are identified up to view renaming by a signature of canonical view
 keys, which is what the search layers deduplicate on.
 """
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .algebra import (
     Expr,
@@ -39,9 +44,9 @@ from .queries import (
     Const,
     QueryError,
     Term,
-    TripleAtom,
     Var,
     bodies_isomorphic,
+    canonical_body_key,
     canonical_key,
     check_workload_query,
     connected_components,
@@ -181,11 +186,19 @@ def _var_names(view: ConjunctiveQuery) -> set[str]:
     return names
 
 
-def _component_vars(body: tuple, idxs) -> set[Var]:
-    out: set[Var] = set()
-    for i in idxs:
-        out.update(body[i].variables())
-    return out
+def _terms(atoms) -> set[Term]:
+    return set().union(*[a.terms for a in atoms])
+
+
+def _piece(ctx: TransitionContext, view: ConjunctiveQuery, body: tuple, idxs,
+           joins, constants: bool = True) -> ConjunctiveQuery:
+    """The new view over the atoms `idxs` of `body`, the view's body or a
+    cut of it, under the head rule of the module docstring."""
+    atoms = tuple([body[i] for i in idxs])
+    bound = _terms(atoms)
+    head = tuple([t for t in view.head if (constants if isinstance(t, Const) else t in bound)])
+    head += tuple([v for v in joins if v not in head])
+    return ConjunctiveQuery(ctx.view_name(), head, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +213,7 @@ def selection_cuts(state: State, slot: int, ctx: TransitionContext):
                 continue
             f = ctx.fresh_var(_var_names(view))
             body = view.body[:ai] + (a.replace(pos, f),) + view.body[ai + 1 :]
-            new = ConjunctiveQuery(ctx.view_name(), view.head + (f,), body)
+            new = _piece(ctx, view, body, range(len(body)), (f,))
             expr = Project(Select(Scan(new.name), f, term), view.head)
             label = f"SC {view.name}:n{ai + 1}.{POSITIONS[pos]}={term.symbol}"
             yield label, _patched(state, ctx, slot, [new], {view.name: expr})
@@ -213,41 +226,24 @@ def join_cuts(state: State, slot: int, ctx: TransitionContext):
         for v in a.variables():
             atoms_of.setdefault(v, set()).add(ai)
     for ai, a in enumerate(view.body):
-        for pos, term in enumerate(a.terms):
-            if not isinstance(term, Var):
+        for pos, x in enumerate(a.terms):
+            if not isinstance(x, Var):
                 continue
-            if not (atoms_of[term] - {ai}):
+            if not (atoms_of[x] - {ai}):
                 continue  # no join edge reaches this occurrence
-            x = term
             f = ctx.fresh_var(_var_names(view))
             body = view.body[:ai] + (a.replace(pos, f),) + view.body[ai + 1 :]
             comps = connected_components(body)
             label = f"JC {view.name}:n{ai + 1}.{POSITIONS[pos]}({x})"
             if len(comps) == 1:
-                head = view.head
-                if x not in head:
-                    head = head + (x,)
-                new = ConjunctiveQuery(ctx.view_name(), head + (f,), body)
+                new = _piece(ctx, view, body, range(len(body)), (x, f))
                 expr = Project(Select(Scan(new.name), f, x), view.head)
                 yield label, _patched(state, ctx, slot, [new], {view.name: expr})
             else:
                 comp_f = next(c for c in comps if ai in c)
                 comp_x = next(c for c in comps if ai not in c)
-                vars_f = _component_vars(body, comp_f)
-                vars_x = _component_vars(body, comp_x)
-                head_f = tuple(
-                    t for t in view.head
-                    if isinstance(t, Const) or t in vars_f
-                ) + (f,)
-                head_x = tuple(t for t in view.head if isinstance(t, Var) and t in vars_x)
-                if x not in head_x:
-                    head_x = head_x + (x,)
-                new_f = ConjunctiveQuery(
-                    ctx.view_name(), head_f, tuple(body[i] for i in comp_f)
-                )
-                new_x = ConjunctiveQuery(
-                    ctx.view_name(), head_x, tuple(body[i] for i in comp_x)
-                )
+                new_f = _piece(ctx, view, body, comp_f, (f,))
+                new_x = _piece(ctx, view, body, comp_x, (x,), constants=False)
                 expr = Project(
                     ThetaJoin(Scan(new_f.name), Scan(new_x.name), ((f, x),)),
                     view.head,
@@ -257,13 +253,17 @@ def join_cuts(state: State, slot: int, ctx: TransitionContext):
 
 def view_breaks(state: State, slot: int, ctx: TransitionContext):
     view = state.views[slot]
-    n = len(view.body)
+    body = view.body
+    n = len(body)
     if n <= 2:
         return
+    order = view.variables()
     for k in range(1, n):
         for n1 in itertools.combinations(range(n), k):
-            if not is_connected(tuple(view.body[i] for i in n1)):
+            atoms1 = tuple([body[i] for i in n1])
+            if not is_connected(atoms1):
                 continue
+            terms1 = _terms(atoms1)
             rest = set(range(n)) - set(n1)
             for osize in range(0, k):
                 for overlap in itertools.combinations(n1, osize):
@@ -272,59 +272,33 @@ def view_breaks(state: State, slot: int, ctx: TransitionContext):
                     # the one met first
                     if (len(n2), n2) < (k, n1):
                         continue
-                    if not is_connected(tuple(view.body[i] for i in n2)):
+                    atoms2 = tuple([body[i] for i in n2])
+                    if not is_connected(atoms2):
                         continue
-                    vars1 = _component_vars(view.body, n1)
-                    vars2 = _component_vars(view.body, n2)
-                    shared: list[Var] = []
-                    for a in view.body:
-                        for v in a.variables():
-                            if v in vars1 and v in vars2 and v not in shared:
-                                shared.append(v)
-                    head1 = tuple(
-                        t for t in view.head if isinstance(t, Const) or t in vars1
-                    )
-                    head1 += tuple(v for v in shared if v not in head1)
-                    head2 = tuple(
-                        t for t in view.head if isinstance(t, Var) and t in vars2
-                    )
-                    head2 += tuple(v for v in shared if v not in head2)
-                    v1 = ConjunctiveQuery(
-                        ctx.view_name(), head1, tuple(view.body[i] for i in n1)
-                    )
-                    v2 = ConjunctiveQuery(
-                        ctx.view_name(), head2, tuple(view.body[i] for i in n2)
-                    )
+                    terms2 = _terms(atoms2)
+                    shared = [v for v in order if v in terms1 and v in terms2]
+                    v1 = _piece(ctx, view, body, n1, shared)
+                    v2 = _piece(ctx, view, body, n2, shared, constants=False)
                     expr = Project(NatJoin(Scan(v1.name), Scan(v2.name)), view.head)
                     label = (
                         f"VB {view.name}:"
                         f"{{{','.join(f'n{i + 1}' for i in n1)}}}"
                         f"|{{{','.join(f'n{i + 1}' for i in n2)}}}"
                     )
-                    yield label, _patched(
-                        state, ctx, slot, [v1, v2], {view.name: expr}
-                    )
-
-
-@lru_cache(maxsize=200_000)
-def _constant_pattern(body: tuple[TripleAtom, ...]) -> tuple:
-    """Sorted per-atom constants, a cheap invariant of the body's
-    isomorphism class: equal canonical body keys imply equal patterns."""
-    return tuple(sorted(
-        tuple((t.symbol,) if isinstance(t, Const) else () for t in a.terms)
-        for a in body
-    ))
+                    yield label, _patched(state, ctx, slot, [v1, v2], {view.name: expr})
 
 
 def view_fusions(state: State, ctx: TransitionContext):
-    patterns = [_constant_pattern(v.body) for v in state.views]
-    for i, j in itertools.combinations(range(len(state.views)), 2):
+    # only views of one body form can fuse: try the pairs within each form
+    forms: dict[str, list[int]] = {}
+    for i, v in enumerate(state.views):
+        forms.setdefault(canonical_body_key(v), []).append(i)
+    candidates = sorted(
+        pair for group in forms.values() for pair in itertools.combinations(group, 2)
+    )
+    for i, j in candidates:
         v1, v2 = state.views[i], state.views[j]
-        if patterns[i] != patterns[j]:
-            continue
         isos = bodies_isomorphic(v1, v2)
-        if not isos:
-            continue
         # Distinct isomorphisms can induce distinct fused heads (two
         # all-variable atoms can line up straight or crosswise).
         # bodies_isomorphic returns one renaming per image of v2's head, so

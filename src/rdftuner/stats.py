@@ -53,55 +53,33 @@ def pattern_atom(key: PatternKey) -> TripleAtom:
     return TripleAtom(terms[0], terms[1], terms[2])
 
 
-def _partitions(items: list[int]):
-    """All set partitions of items (at most three elements here)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+# the set partitions of an atom's three positions
+_POSITION_PARTITIONS = (
+    ((0, 1, 2),),
+    ((0,), (1, 2)),
+    ((0, 1), (2,)),
+    ((0, 2), (1,)),
+    ((0,), (1,), (2,)),
+)
 
 
 def atom_patterns(a: TripleAtom) -> set[PatternKey]:
-    """Every pattern a selection or join cut can reach from this atom."""
-    const_positions = [i for i, t in enumerate(a.terms) if isinstance(t, Const)]
+    """Every pattern a selection or join cut can reach from this atom: for
+    each set partition of the three positions whose blocks of two or more
+    positions each hold one variable of the atom, each choice of the
+    singleton constants that stay, the others becoming fresh variables."""
+    terms = a.terms
     out: set[PatternKey] = set()
-    for k in range(len(const_positions) + 1):
-        for dropped in combinations(const_positions, k):
-            var_groups: dict[Var | int, list[int]] = {}
-            for i, t in enumerate(a.terms):
-                if i in dropped:
-                    var_groups[i] = [i]  # relaxed constant: its own class
-                elif isinstance(t, Var):
-                    var_groups.setdefault(t, []).append(i)
-            kept = {i: t for i, t in enumerate(a.terms)
-                    if isinstance(t, Const) and i not in dropped}
-            # refine each repeated-variable class every possible way
-            group_lists = list(var_groups.values())
-            refined: list[list[list[int]]] = [[]]
-            for g in group_lists:
-                refined = [acc + part for acc in refined for part in _partitions(g)]
-            for blocks in refined:
-                slot: list[tuple[str, str | int] | None] = [None, None, None]
-                for i, t in kept.items():
-                    slot[i] = ("c", t.symbol)
-                for cid, block in enumerate(sorted(blocks, key=min)):
-                    for i in block:
-                        slot[i] = ("v", cid)
-                # renumber by position order of first occurrence
-                key: list[tuple[str, str | int]] = []
-                remap: dict[int, int] = {}
-                for s in slot:
-                    assert s is not None
-                    if s[0] == "v":
-                        cid = remap.setdefault(s[1], len(remap))  # type: ignore[arg-type]
-                        key.append(("v", cid))
-                    else:
-                        key.append(s)
-                out.add(tuple(key))
+    for blocks in _POSITION_PARTITIONS:
+        if any(isinstance(terms[b[0]], Const) or len({terms[i] for i in b}) > 1
+               for b in blocks if len(b) > 1):
+            continue
+        block_of = {i: n for n, b in enumerate(blocks) for i in b}
+        constants = [b[0] for b in blocks if isinstance(terms[b[0]], Const)]
+        for k in range(len(constants) + 1):
+            for kept in combinations(constants, k):
+                shape = [terms[i] if i in kept else Var(f"_{block_of[i]}") for i in range(3)]
+                out.add(pattern_of(TripleAtom(*shape)))
     return out
 
 
@@ -146,24 +124,8 @@ class WorkloadStatistics:
             ],
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "WorkloadStatistics":
-        cols = tuple(
-            ColumnStats(c["distinct"], c["avg_size"], c["min_size"], c["max_size"])
-            for c in d["columns"]
-        )
-        patterns = {
-            tuple((kind, val) for kind, val in entry["key"]): entry["count"]
-            for entry in d["patterns"]
-        }
-        return cls(d["triple_count"], cols, patterns)  # type: ignore[arg-type]
-
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "WorkloadStatistics":
-        return cls.from_json(json.loads(text))
 
 
 def _column_stats(store: TripleStore) -> tuple[ColumnStats, ...]:

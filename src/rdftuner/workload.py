@@ -16,6 +16,10 @@ from .queries import ConjunctiveQuery, Const, QueryError, RDF_TYPE, TripleAtom, 
 from .reasoning import DOMAIN, RANGE, SUBCLASS, SUBPROPERTY, Schema
 from .store import StoreError, TripleStore
 
+# the classes and properties of the synthetic stores and schemas
+N_CLASSES = 8
+N_PROPERTIES = 12
+
 
 @dataclass
 class WorkloadSpec:
@@ -33,22 +37,19 @@ class WorkloadSpec:
             raise QueryError(f"unknown commonality {self.commonality!r}")
         if self.n_queries < 1 or self.atoms_per_query < 1:
             raise QueryError("workload needs at least one query and one atom")
+        if self.n_constants < 0:
+            raise QueryError("the number of constants must not be negative")
 
 
-def make_synthetic_store(
-    n_triples: int,
-    seed: int = 0,
-    n_classes: int = 8,
-    n_properties: int = 12,
-) -> TripleStore:
+def make_synthetic_store(n_triples: int, seed: int = 0) -> TripleStore:
     """A skewed synthetic graph: a hub-heavy property layer plus typings."""
     rng = random.Random(seed)
     n_resources = max(6, n_triples // 4)
     resources = [f"r{i}" for i in range(n_resources)]
-    classes = [f"c{i}" for i in range(n_classes)]
-    properties = [f"p{i}" for i in range(n_properties)]
-    p_weights = [1.0 / (i + 1) for i in range(n_properties)]
-    c_weights = [1.0 / (i + 1) for i in range(n_classes)]
+    classes = [f"c{i}" for i in range(N_CLASSES)]
+    properties = [f"p{i}" for i in range(N_PROPERTIES)]
+    p_weights = [1.0 / (i + 1) for i in range(N_PROPERTIES)]
+    c_weights = [1.0 / (i + 1) for i in range(N_CLASSES)]
     hubs = resources[: max(1, n_resources // 10)]
 
     store = TripleStore()
@@ -74,17 +75,12 @@ def make_synthetic_store(
     return store
 
 
-def make_synthetic_schema(
-    n_statements: int = 10,
-    seed: int = 0,
-    n_classes: int = 8,
-    n_properties: int = 12,
-) -> Schema:
+def make_synthetic_schema(n_statements: int = 10, seed: int = 0) -> Schema:
     """Subclass and subproperty chains plus a few domain/range statements
     over the vocabulary of make_synthetic_store."""
     rng = random.Random(seed)
-    classes = [f"c{i}" for i in range(n_classes)]
-    properties = [f"p{i}" for i in range(n_properties)]
+    classes = [f"c{i}" for i in range(N_CLASSES)]
+    properties = [f"p{i}" for i in range(N_PROPERTIES)]
     statements: set[tuple[str, str, str]] = set()
     kinds = [SUBCLASS, SUBCLASS, SUBPROPERTY, SUBPROPERTY, DOMAIN, RANGE]
     guard = 0
@@ -112,7 +108,7 @@ def _property_triples(store: TripleStore) -> list:
     return sorted(t for t in store.triples if t[1] != type_code and t[0] != t[2])
 
 
-def _sample_star(store: TripleStore, rng: random.Random, m: int, retries: int = 400):
+def _sample_star(store: TripleStore, rng: random.Random, m: int):
     """m distinct property triples sharing one subject, no self loops."""
     triples = _property_triples(store)
     if not triples:
@@ -120,16 +116,14 @@ def _sample_star(store: TripleStore, rng: random.Random, m: int, retries: int = 
     by_subject: dict[int, list] = {}
     for t in triples:
         by_subject.setdefault(t[0], []).append(t)
-    for _ in range(retries):
+    for _ in range(400):
         out = by_subject[rng.choice(triples)[0]]
         if len(out) >= m:
             return rng.sample(out, m)
     raise StoreError(f"no subject with {m} outgoing property triples found")
 
 
-def _sample_walk(
-    store: TripleStore, rng: random.Random, m: int, closed: bool, retries: int = 800
-):
+def _sample_walk(store: TripleStore, rng: random.Random, m: int, closed: bool):
     """A walk along m distinct property triples; closed walks return home."""
     triples = _property_triples(store)
     if not triples:
@@ -137,7 +131,7 @@ def _sample_walk(
     by_subject: dict[int, list] = {}
     for t in triples:
         by_subject.setdefault(t[0], []).append(t)
-    for _ in range(retries):
+    for _ in range(800):
         walk = [rng.choice(triples)]
         ok = True
         for _ in range(m - 1):
@@ -154,8 +148,7 @@ def _sample_walk(
     raise StoreError(f"no {'closed ' if closed else ''}walk of length {m} found")
 
 
-def _sample_sparse(store: TripleStore, rng: random.Random, m: int, dense: bool,
-                   retries: int = 400):
+def _sample_sparse(store: TripleStore, rng: random.Random, m: int, dense: bool):
     """A connected set of m property triples grown edge by edge; dense sets
     keep growing inside the already touched resources when possible."""
     triples = _property_triples(store)
@@ -165,7 +158,7 @@ def _sample_sparse(store: TripleStore, rng: random.Random, m: int, dense: bool,
     for t in triples:
         by_node.setdefault(t[0], []).append(t)
         by_node.setdefault(t[2], []).append(t)
-    for _ in range(retries):
+    for _ in range(400):
         first = rng.choice(triples)
         chosen = [first]
         nodes = {first[0], first[2]}

@@ -16,9 +16,10 @@ from rdftuner.algebra import expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
 from rdftuner.queries import Const, parse_queries
 from rdftuner.reasoning import format_schema, parse_schema, saturate
-from rdftuner.stats import WorkloadStatistics, pattern_of
+from rdftuner.stats import pattern_of
 from rdftuner.store import evaluate, load_triples, materialize
 from rdftuner.workload import make_synthetic_schema, make_synthetic_store
+from test_stats import read_statistics
 
 PAINTER_QUERY_TEXT = (
     "q1(X, Z) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), "
@@ -385,7 +386,7 @@ def test_stats_output_round_trips(painter_files, tmp_path):
     rc = main(["stats", "--triples", str(triples), "--queries", str(queries),
                "--out", str(out)])
     assert rc == 0
-    stats = WorkloadStatistics.loads(out.read_text())
+    stats = read_statistics(out.read_text())
     store = load_triples(PAINTER_TRIPLES)
     assert stats.triple_count == len(store.triples)
     for atom in painter_query().body:
@@ -418,7 +419,7 @@ def test_stats_post_writes_the_saturated_statistics(painter_files, tmp_path, wor
                      "--schema", str(schema), "--mode", mode, "--out", str(out)]) == 0
         written[mode] = out.read_bytes()
     assert written["post"] == written["saturate"]
-    post, plain = (WorkloadStatistics.loads(written[m].decode()) for m in ("post", "plain"))
+    post, plain = (read_statistics(written[m].decode()) for m in ("post", "plain"))
     assert post.pattern_counts != plain.pattern_counts
 
 
@@ -469,6 +470,15 @@ def test_gen_workload_is_deterministic(tmp_path):
     for q in generated:
         assert len(q.body) == 3
         assert evaluate(q, store), "sampled queries must be non-empty"
+
+
+def test_gen_workload_rejects_a_negative_constant_count(tmp_path, capsys):
+    out = tmp_path / "w.txt"
+    rc = main(["gen-workload", "--store-size", "200", "--constants", "-2", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "constants" in captured.err
+    assert not out.exists()
 
 
 def test_tune_document_does_not_depend_on_hash_order(tmp_path):

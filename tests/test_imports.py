@@ -1,11 +1,13 @@
-"""What each module imports: no name imported and never used, no search
-stack and no `dataclasses` behind the commands that answer from a tune
-document, and a package root whose public names resolve on first use."""
+"""What each module imports and defines: no name imported and never used,
+no module-level function or class that nothing else names, no search stack
+and no `dataclasses` behind the commands that answer from a tune document,
+and a package root whose public names resolve on first use."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from rdftuner.cli import main
 from rdftuner.queries import format_query
 
 PACKAGE_DIR = Path(rdftuner.__file__).resolve().parent
+REPO_DIR = PACKAGE_DIR.parent.parent
 SEARCH_STACK = [f"rdftuner.{m}" for m in ("search", "cost", "states", "stats", "workload")]
 
 
@@ -78,6 +81,53 @@ def test_module_uses_every_name_it_imports(path):
 ])
 def test_unused_import_scan(source, unused):
     assert unused_imports(ast.parse(source)) == unused
+
+
+# ---------------------------------------------------------------------------
+# unused definitions
+
+
+def unnamed_definitions(path: Path, sources: dict[Path, list[str]]) -> list[str]:
+    """The module-level functions and classes of `path` that no line of
+    `sources` outside their own definition names, leaving out the public
+    names of the package and module hooks such as `__getattr__`."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if name in rdftuner.__all__ or (name.startswith("__") and name.endswith("__")):
+            continue
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line)
+                   for source, lines in sources.items()
+                   for n, line in enumerate(lines, 1)
+                   if not (source == path and node.lineno <= n <= node.end_lineno)):
+            out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+@pytest.fixture(scope="module")
+def program_sources() -> dict[Path, list[str]]:
+    return {p: p.read_text(encoding="utf-8").splitlines()
+            for d in ("src", "perfbench", "scripts") for p in sorted((REPO_DIR / d).rglob("*.py"))}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_nothing_unused(path, program_sources):
+    """Every definition is named by the program, its benchmark or its
+    scripts, or is public: a helper only its own test uses goes."""
+    assert unnamed_definitions(path, program_sources) == []
+
+
+def test_unnamed_definition_scan(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def used():\n    return 1\n\n\ndef lonely():\n    return lonely()\n\n\n"
+                      "class Kept:\n    pass\n\n\ndef __getattr__(name):\n    return used()\n")
+    other = tmp_path / "o.py"
+    other.write_text("x = Kept()\n")
+    sources = {p: p.read_text().splitlines() for p in (module, other)}
+    assert unnamed_definitions(module, sources) == ["line 5: lonely"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from rdftuner.queries import (
     QueryError,
     TripleAtom,
     Var,
+    bodies_isomorphic,
     canonical_body_key,
     canonical_key,
     shape,
@@ -46,6 +47,7 @@ from rdftuner.states import (
     view_fusions,
 )
 from rdftuner.store import evaluate, load_triples, materialize
+from rdftuner.workload import WorkloadSpec, generate_workload, make_synthetic_store
 
 
 def assert_rewritings_ok(state, queries, store):
@@ -478,6 +480,57 @@ def test_random_walks_preserve_answers():
             assert_rewritings_ok(state, queries, store)
             checked += 1
     assert checked > 60
+
+
+def assert_fusions_match_brute_force(state, ctx):
+    """view_fusions yields children for exactly the pairs of views with
+    isomorphic bodies, pair by pair in (i, j) order, each pair's head
+    layouts numbered VF a+b, VF a+b#2, ..., at most one per isomorphism."""
+    views = state.views
+    expected = []
+    for i in range(len(views)):
+        for j in range(i + 1, len(views)):
+            isos = bodies_isomorphic(views[i], views[j])
+            if isos:
+                expected.append((f"VF {views[i].name}+{views[j].name}", len(isos)))
+    labels = [label for label, _ in view_fusions(state, ctx)]
+    got: list[list] = []
+    for label in labels:
+        base, _, n = label.partition("#")
+        if n:
+            assert got[-1][0] == base and int(n) == got[-1][1] + 1, labels
+            got[-1][1] += 1
+        else:
+            got.append([base, 1])
+    assert [base for base, _ in got] == [base for base, _ in expected]
+    assert all(1 <= k <= n_isos for (_, k), (_, n_isos) in zip(got, expected))
+
+
+@pytest.mark.parametrize("avf", [False, True], ids=["plain", "avf"])
+@pytest.mark.parametrize("shape_name", ["star", "chain", "mixed"])
+def test_fusion_candidates_are_the_isomorphic_pairs(shape_name, avf):
+    store = make_synthetic_store(300, seed=2)
+    rng = random.Random(f"{shape_name}-{avf}")
+    walks = 0
+    for seed in range(4):
+        # five queries over two patterns: views of one body form interleave
+        for n_queries, commonality, constants in ((5, "high", 0), (3, "medium", 1)):
+            spec = WorkloadSpec(n_queries, 3, shape_name, commonality, constants, seed)
+            ctx = TransitionContext()
+            state = initial_state(generate_workload(spec, store), ctx)
+            for _step in range(5):
+                assert_fusions_match_brute_force(state, ctx)
+                trs = list(iter_transitions(state, ctx))
+                if not trs:
+                    break
+                state = rng.choice(trs).state
+                while avf:
+                    fused = next(iter_transitions(state, ctx, ("VF",)), None)
+                    if fused is None:
+                        break
+                    state = fused.state
+            walks += 1
+    assert walks == 8
 
 
 def test_pre_mode_walk_preserves_entailed_answers(gallery_schema):

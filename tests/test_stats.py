@@ -4,6 +4,8 @@ Which store is counted on in each mode is the command line's choice; see
 test_cli.py for post mode counting on the saturated store.
 """
 
+import itertools
+import json
 import random
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from conftest import painter_query, random_query, random_schema
 from rdftuner.queries import Const, TripleAtom, Var
 from rdftuner.stats import (
+    ColumnStats,
     MissingStatisticError,
     WorkloadStatistics,
     atom_patterns,
@@ -68,6 +71,31 @@ def test_atom_patterns_refines_repeated_variables():
     assert got == expected
 
 
+def brute_force_patterns(a: TripleAtom) -> set:
+    """The shapes of every atom that specializes onto `a` position by
+    position: each of its constants is `a`'s constant there, and two of its
+    positions share a variable only where `a` has one variable at both."""
+    constants = {t for t in a.terms if isinstance(t, Const)}
+    fresh = [Var(f"V{i}") for i in range(3)]
+    out = set()
+    for terms in itertools.product([*constants, *fresh], repeat=3):
+        if any(isinstance(t, Const) and t is not a.terms[i] for i, t in enumerate(terms)):
+            continue
+        if any(terms[i] is terms[j] and isinstance(terms[i], Var)
+               and not (isinstance(a.terms[i], Var) and a.terms[i] is a.terms[j])
+               for i, j in itertools.combinations(range(3), 2)):
+            continue
+        out.add(pattern_of(TripleAtom(*terms)))
+    return out
+
+
+def test_atom_patterns_match_the_brute_force_rule():
+    pool = [Const("c1"), Const("c2"), X, Y, Z]
+    for terms in itertools.product(pool, repeat=3):
+        a = TripleAtom(*terms)
+        assert atom_patterns(a) == brute_force_patterns(a), a
+
+
 def test_atom_patterns_cover_transition_reachable_shapes():
     """Any chain of selection and join cuts stays inside the universe."""
     rng = random.Random(9)
@@ -121,9 +149,19 @@ def test_column_stats(painter_store):
 # serialization
 
 
+def read_statistics(text: str) -> WorkloadStatistics:
+    """Statistics back from the JSON text `WorkloadStatistics.dumps` writes."""
+    d = json.loads(text)
+    cols = tuple(ColumnStats(c["distinct"], c["avg_size"], c["min_size"], c["max_size"])
+                 for c in d["columns"])
+    patterns = {tuple((kind, val) for kind, val in entry["key"]): entry["count"]
+                for entry in d["patterns"]}
+    return WorkloadStatistics(d["triple_count"], cols, patterns)
+
+
 def test_json_round_trip(painter_store):
     stats = collect_statistics([painter_query()], painter_store)
-    back = WorkloadStatistics.loads(stats.dumps())
+    back = read_statistics(stats.dumps())
     assert back.pattern_counts == stats.pattern_counts
     assert back.columns == stats.columns
     assert back.triple_count == stats.triple_count

@@ -76,6 +76,8 @@ def test_spec_validation():
         WorkloadSpec(n_queries=0)
     with pytest.raises(QueryError):
         WorkloadSpec(atoms_per_query=0)
+    with pytest.raises(QueryError):
+        WorkloadSpec(n_constants=-2)
     assert WorkloadSpec().shape in SHAPES
     assert WorkloadSpec().commonality in COMMONALITY
 

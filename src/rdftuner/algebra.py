@@ -54,18 +54,6 @@ class NatJoin(_Record):
         _set(self, "right", right)
 
 
-class ThetaJoin(_Record):
-    __slots__ = _fields = ("left", "right", "pairs")
-    left: Expr
-    right: Expr
-    pairs: tuple[tuple[Term, Term], ...]
-
-    def __init__(self, left: Expr, right: Expr, pairs: tuple[tuple[Term, Term], ...]) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "pairs", pairs)
-
-
 class Rename(_Record):
     __slots__ = _fields = ("child", "mapping")
     child: Expr
@@ -84,7 +72,7 @@ class UnionOp(_Record):
         _set(self, "children", children)
 
 
-Expr = Union[Scan, Select, Project, NatJoin, ThetaJoin, Rename, UnionOp]
+Expr = Union[Scan, Select, Project, NatJoin, Rename, UnionOp]
 
 
 def scan_views(expr: Expr) -> Iterator[str]:
@@ -93,7 +81,7 @@ def scan_views(expr: Expr) -> Iterator[str]:
         yield expr.view
     elif isinstance(expr, (Select, Project, Rename)):
         yield from scan_views(expr.child)
-    elif isinstance(expr, (NatJoin, ThetaJoin)):
+    elif isinstance(expr, NatJoin):
         yield from scan_views(expr.left)
         yield from scan_views(expr.right)
     else:
@@ -116,14 +104,12 @@ def replace_scans(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     if isinstance(expr, Rename):
         child = replace_scans(expr.child, mapping)
         return expr if child is expr.child else Rename(child, expr.mapping)
-    if isinstance(expr, (NatJoin, ThetaJoin)):
+    if isinstance(expr, NatJoin):
         left = replace_scans(expr.left, mapping)
         right = replace_scans(expr.right, mapping)
         if left is expr.left and right is expr.right:
             return expr
-        if isinstance(expr, NatJoin):
-            return NatJoin(left, right)
-        return ThetaJoin(left, right, expr.pairs)
+        return NatJoin(left, right)
     children = tuple(replace_scans(c, mapping) for c in expr.children)
     if all(new is old for new, old in zip(children, expr.children)):
         return expr
@@ -196,20 +182,6 @@ def eval_expr(expr: Expr, relations: dict[str, Relation]) -> Relation:
         columns = left.columns + tuple(right.columns[i] for i in rest)
         return Relation(left.name, columns, frozenset(out))
 
-    if isinstance(expr, ThetaJoin):
-        left = eval_expr(expr.left, relations)
-        right = eval_expr(expr.right, relations)
-        li = [_col_index(left.columns, a) for a, _ in expr.pairs]
-        ri = [_col_index(right.columns, b) for _, b in expr.pairs]
-        table = {}
-        for r in right.rows:
-            table.setdefault(tuple(r[i] for i in ri), []).append(r)
-        out = set()
-        for l in left.rows:
-            for r in table.get(tuple(l[i] for i in li), ()):
-                out.add(l + r)
-        return Relation(left.name, left.columns + right.columns, frozenset(out))
-
     if isinstance(expr, Rename):
         child = eval_expr(expr.child, relations)
         m = dict(expr.mapping)
@@ -256,13 +228,6 @@ def expr_to_json(expr: Expr) -> dict:
         }
     if isinstance(expr, NatJoin):
         return {"op": "natjoin", "left": expr_to_json(expr.left), "right": expr_to_json(expr.right)}
-    if isinstance(expr, ThetaJoin):
-        return {
-            "op": "thetajoin",
-            "left": expr_to_json(expr.left),
-            "right": expr_to_json(expr.right),
-            "pairs": [[_term_json(a), _term_json(b)] for a, b in expr.pairs],
-        }
     if isinstance(expr, Rename):
         return {
             "op": "rename",
@@ -283,11 +248,12 @@ def expr_from_json(d: dict) -> Expr:
     if op == "natjoin":
         return NatJoin(expr_from_json(d["left"]), expr_from_json(d["right"]))
     if op == "thetajoin":
-        return ThetaJoin(
-            expr_from_json(d["left"]),
-            expr_from_json(d["right"]),
-            tuple((_term_back(a), _term_back(b)) for a, b in d["pairs"]),
-        )
+        # earlier versions wrote a join cut's two pieces joined on (fresh,
+        # cut) variable pairs; the left piece has no column named after the
+        # cut variable and the pieces share no other, so renaming the fresh
+        # variable and joining naturally gives the same rows
+        pairs = tuple((Var(a["v"]), Var(b["v"])) for a, b in d["pairs"])
+        return NatJoin(Rename(expr_from_json(d["left"]), pairs), expr_from_json(d["right"]))
     if op == "rename":
         return Rename(
             expr_from_json(d["child"]),
@@ -308,9 +274,6 @@ def format_expr(expr: Expr) -> str:
         return f"project[{cols}]({format_expr(expr.child)})"
     if isinstance(expr, NatJoin):
         return f"({format_expr(expr.left)} join {format_expr(expr.right)})"
-    if isinstance(expr, ThetaJoin):
-        cond = " and ".join(f"{a}={b}" for a, b in expr.pairs)
-        return f"({format_expr(expr.left)} join[{cond}] {format_expr(expr.right)})"
     if isinstance(expr, Rename):
         ren = ",".join(f"{a}->{b}" for a, b in expr.mapping)
         return f"rename[{ren}]({format_expr(expr.child)})"

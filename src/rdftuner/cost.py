@@ -52,7 +52,6 @@ from .algebra import (
     Rename,
     Scan,
     Select,
-    ThetaJoin,
 )
 from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var, shape
 from .states import Rewriting, State
@@ -234,21 +233,6 @@ class Estimator:
             cpu = lcpu + rcpu + lnode.card + rnode.card + card
             return _Node(body, cols, card), lio + rio, cpu
 
-        if isinstance(expr, ThetaJoin):
-            lnode, lio, lcpu = self._walk(expr.left, views)
-            rnode, rio, rcpu = self._walk(expr.right, views)
-            if lnode.body is None or rnode.body is None:
-                raise QueryError("join over a union is unsupported")
-            mapping: dict[Var, Term] = {}
-            for a, b in expr.pairs:
-                if isinstance(b, Var):
-                    mapping[b] = a
-            body = _merge_bodies(lnode.body, _subst_body(rnode.body, mapping))
-            card = self.body_rows(body)
-            cols = lnode.columns + rnode.columns
-            cpu = lcpu + rcpu + lnode.card + rnode.card + card
-            return _Node(body, cols, card), lio + rio, cpu
-
         # union: members are independent plans over disjoint scans
         parts = [self._walk(c, views) for c in expr.children]
         card = sum(p[0].card for p in parts)
@@ -351,9 +335,6 @@ def _tree_shape(expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
             put([t for pair in e.mapping for t in pair])
             stack.append(e.child)
         elif kind is NatJoin:
-            stack += (e.right, e.left)
-        elif kind is ThetaJoin:
-            put([t for pair in e.pairs for t in pair])
             stack += (e.right, e.left)
         else:
             out.append(len(e.children))

@@ -167,22 +167,6 @@ class TripleAtom(_Interned):
         return f"t({self.s},{self.p},{self.o})"
 
 
-def atom(s: Term | str, p: Term | str, o: Term | str) -> TripleAtom:
-    """Convenience constructor: bare strings follow the query-text convention
-    (leading uppercase or '?' means variable)."""
-    return TripleAtom(_coerce(s), _coerce(p), _coerce(o))
-
-
-def _coerce(t: Term | str) -> Term:
-    if isinstance(t, (Var, Const)):
-        return t
-    if t.startswith("?"):
-        return Var(t[1:]) if len(t) > 1 else Var("?")
-    if t[:1].isupper():
-        return Var(t)
-    return Const(t)
-
-
 # ---------------------------------------------------------------------------
 # queries
 

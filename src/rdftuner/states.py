@@ -8,7 +8,8 @@ mentions the replaced view symbol:
       rewriting compensates with a selection.
   JC  cut a join edge: one occurrence of a joined variable becomes a fresh
       head variable; the view either survives with a selection on the two
-      columns or splits into two views joined back in the rewriting.
+      columns or splits into two views, which the rewriting joins back
+      naturally once it renames the fresh variable to the cut one.
   VB  break a view into two overlapping connected pieces, rejoined naturally.
   VF  fuse two views with isomorphic bodies into one serving both roles.
 
@@ -34,7 +35,6 @@ from .algebra import (
     Rename,
     Scan,
     Select,
-    ThetaJoin,
     UnionOp,
     replace_scans,
 )
@@ -245,7 +245,7 @@ def join_cuts(state: State, slot: int, ctx: TransitionContext):
                 new_f = _piece(ctx, view, body, comp_f, (f,))
                 new_x = _piece(ctx, view, body, comp_x, (x,), constants=False)
                 expr = Project(
-                    ThetaJoin(Scan(new_f.name), Scan(new_x.name), ((f, x),)),
+                    NatJoin(Rename(Scan(new_f.name), ((f, x),)), Scan(new_x.name)),
                     view.head,
                 )
                 yield label, _patched(state, ctx, slot, [new_f, new_x], {view.name: expr})

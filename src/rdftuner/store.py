@@ -27,7 +27,6 @@ tokens.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from operator import itemgetter
 
 from .queries import (
@@ -204,31 +203,27 @@ def tokenize_line(line: str, where: str) -> list[str]:
     return toks
 
 
-def load_triples(text: str, store: TripleStore | None = None) -> TripleStore:
-    if store is None:
-        store = TripleStore()
+def load_triples(text: str) -> TripleStore:
+    store = TripleStore()
     d = store.dictionary
     codes = d._by_symbol
     # a new symbol's code is the number of symbols before it; the code list
-    # gets the new symbols, in code order, once the loop ends
+    # gets the symbols, in code order, once the loop ends
     intern = codes.setdefault
     add = store.triples.add
-    try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if '"' in line or "#" in line or "<" in line:
-                toks = tokenize_line(line, f"line {lineno}")
-            else:
-                # without quotes, comments or brackets every token is bare
-                toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 3:
-                raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
-            s, p, o = toks
-            add((intern(s, len(codes)), intern(p, len(codes)), intern(o, len(codes))))
-    finally:
-        d._by_code.extend(islice(codes, len(d._by_code), None))
-        store._drop_indexes()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if '"' in line or "#" in line or "<" in line:
+            toks = tokenize_line(line, f"line {lineno}")
+        else:
+            # without quotes, comments or brackets every token is bare
+            toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != 3:
+            raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
+        s, p, o = toks
+        add((intern(s, len(codes)), intern(p, len(codes)), intern(o, len(codes))))
+    d._by_code.extend(codes)
     return store
 
 

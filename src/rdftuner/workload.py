@@ -102,20 +102,24 @@ def make_synthetic_schema(n_statements: int = 10, seed: int = 0) -> Schema:
 # satisfiable query generation
 
 
-def _property_triples(store: TripleStore) -> list:
-    """Non-typing, non-loop triples in a deterministic order."""
+def _property_triples(store: TripleStore) -> tuple[list, dict[int, list], dict[int, list]]:
+    """Non-typing, non-loop triples in a deterministic order, and the same
+    triples by subject and by either end."""
     type_code = store.dictionary.code(RDF_TYPE.symbol)
-    return sorted(t for t in store.triples if t[1] != type_code and t[0] != t[2])
-
-
-def _sample_star(store: TripleStore, rng: random.Random, m: int):
-    """m distinct property triples sharing one subject, no self loops."""
-    triples = _property_triples(store)
+    triples = sorted(t for t in store.triples if t[1] != type_code and t[0] != t[2])
     if not triples:
         raise StoreError("store has no property triples")
     by_subject: dict[int, list] = {}
+    by_node: dict[int, list] = {}
     for t in triples:
         by_subject.setdefault(t[0], []).append(t)
+        by_node.setdefault(t[0], []).append(t)
+        by_node.setdefault(t[2], []).append(t)
+    return triples, by_subject, by_node
+
+
+def _sample_star(triples: list, by_subject: dict, rng: random.Random, m: int):
+    """m distinct property triples sharing one subject, no self loops."""
     for _ in range(400):
         out = by_subject[rng.choice(triples)[0]]
         if len(out) >= m:
@@ -123,14 +127,8 @@ def _sample_star(store: TripleStore, rng: random.Random, m: int):
     raise StoreError(f"no subject with {m} outgoing property triples found")
 
 
-def _sample_walk(store: TripleStore, rng: random.Random, m: int, closed: bool):
+def _sample_walk(triples: list, by_subject: dict, rng: random.Random, m: int, closed: bool):
     """A walk along m distinct property triples; closed walks return home."""
-    triples = _property_triples(store)
-    if not triples:
-        raise StoreError("store has no property triples")
-    by_subject: dict[int, list] = {}
-    for t in triples:
-        by_subject.setdefault(t[0], []).append(t)
     for _ in range(800):
         walk = [rng.choice(triples)]
         ok = True
@@ -148,16 +146,9 @@ def _sample_walk(store: TripleStore, rng: random.Random, m: int, closed: bool):
     raise StoreError(f"no {'closed ' if closed else ''}walk of length {m} found")
 
 
-def _sample_sparse(store: TripleStore, rng: random.Random, m: int, dense: bool):
+def _sample_sparse(triples: list, by_node: dict, rng: random.Random, m: int, dense: bool):
     """A connected set of m property triples grown edge by edge; dense sets
     keep growing inside the already touched resources when possible."""
-    triples = _property_triples(store)
-    if not triples:
-        raise StoreError("store has no property triples")
-    by_node: dict[int, list] = {}
-    for t in triples:
-        by_node.setdefault(t[0], []).append(t)
-        by_node.setdefault(t[2], []).append(t)
     for _ in range(400):
         first = rng.choice(triples)
         chosen = [first]
@@ -252,22 +243,20 @@ def generate_workload(spec: WorkloadSpec, store: TripleStore) -> list[Conjunctiv
     query's shape from a pool of two sampled patterns, medium from a pool the
     size of the workload, low samples fresh patterns every time.
     """
+    if spec.shape == "cycle" and spec.atoms_per_query < 2:
+        raise QueryError("cycle shape needs at least two atoms")
+    triples, by_subject, by_node = _property_triples(store)
     rng = random.Random(spec.seed)
     pool_size = {"high": 2, "medium": max(2, spec.n_queries), "low": 0}[spec.commonality]
+    m = spec.atoms_per_query
 
     def sample(shape: str):
         if shape == "star":
-            return _sample_star(store, rng, spec.atoms_per_query)
-        if shape == "chain":
-            return _sample_walk(store, rng, spec.atoms_per_query, closed=False)
-        if shape == "cycle":
-            if spec.atoms_per_query < 2:
-                raise QueryError("cycle shape needs at least two atoms")
-            return _sample_walk(store, rng, spec.atoms_per_query, closed=True)
-        if shape == "random_sparse":
-            return _sample_sparse(store, rng, spec.atoms_per_query, dense=False)
-        if shape == "random_dense":
-            return _sample_sparse(store, rng, spec.atoms_per_query, dense=True)
+            return _sample_star(triples, by_subject, rng, m)
+        if shape in ("chain", "cycle"):
+            return _sample_walk(triples, by_subject, rng, m, closed=shape == "cycle")
+        if shape in ("random_sparse", "random_dense"):
+            return _sample_sparse(triples, by_node, rng, m, dense=shape == "random_dense")
         return sample(rng.choice(("star", "chain", "random_sparse")))
 
     pool: list = []
@@ -277,8 +266,8 @@ def generate_workload(spec: WorkloadSpec, store: TripleStore) -> list[Conjunctiv
 
     queries = []
     for qi in range(spec.n_queries):
-        triples = rng.choice(pool) if pool else sample(spec.shape)
+        embedding = rng.choice(pool) if pool else sample(spec.shape)
         queries.append(
-            _generalize(store, triples, rng, spec.n_constants, f"q{qi + 1}")
+            _generalize(store, embedding, rng, spec.n_constants, f"q{qi + 1}")
         )
     return queries

@@ -8,7 +8,6 @@ from rdftuner.algebra import (
     Rename,
     Scan,
     Select,
-    ThetaJoin,
     UnionOp,
     eval_expr,
     expr_from_json,
@@ -48,10 +47,9 @@ def relations(location_store):
 def test_select_project_join_pipeline(relations, location_store):
     # typed-as-picture things joined with their locations
     expr = Project(
-        ThetaJoin(
+        NatJoin(
             Select(Scan("v1"), X2, Const("picture")),
-            Scan("v2"),
-            ((X1, Y1),),
+            Rename(Scan("v2"), ((Y1, X1),)),
         ),
         (X1, Y2),
     )
@@ -133,10 +131,9 @@ def test_json_round_trip():
     expr = UnionOp(
         (
             Project(
-                ThetaJoin(
+                NatJoin(
                     Select(Scan("v1"), X2, Const("picture")),
                     Rename(Scan("v2"), ((Y1, X1),)),
-                    ((X1, X1),),
                 ),
                 (X1, Y2),
             ),
@@ -156,6 +153,6 @@ def test_format_expr_shapes():
     )
     assert format_expr(UnionOp((Scan("a"), Scan("b")))) == "a union b"
     assert (
-        format_expr(ThetaJoin(Scan("a"), Scan("b"), ((X1, Y1),)))
-        == "(a join[X1=Y1] b)"
+        format_expr(NatJoin(Rename(Scan("a"), ((X1, Y1),)), Scan("b")))
+        == "(rename[X1->Y1](a) join b)"
     )

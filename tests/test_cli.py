@@ -12,12 +12,12 @@ import pytest
 
 from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
 from rdftuner import cli, reasoning, search
-from rdftuner.algebra import expr_from_json, scan_views
+from rdftuner.algebra import eval_expr, expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
 from rdftuner.queries import Const, parse_queries
 from rdftuner.reasoning import format_schema, parse_schema, saturate
 from rdftuner.stats import pattern_of
-from rdftuner.store import evaluate, load_triples, materialize
+from rdftuner.store import Relation, evaluate, load_triples, materialize
 from rdftuner.workload import make_synthetic_schema, make_synthetic_store
 from test_stats import read_statistics
 
@@ -186,6 +186,64 @@ def test_answer_stdout_lists_rows(tuned_doc, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "vanGogh\tpieta" in printed
+
+
+def _var(name):
+    return {"v": name}
+
+
+# A join cut that splits the painter query at n2.o (Y), as rdftuner/1
+# documents from before rewritings joined the two pieces through a rename
+# hold it: a "thetajoin" on the (fresh, cut) variable pair.
+THETAJOIN_DOCUMENT = {
+    "format": "rdftuner/1",
+    "mode": "plain",
+    "schema": None,
+    "views": [
+        {"name": "v6", "head": [_var("X"), _var("F3")],
+         "body": [[_var("X"), {"c": "hasPainted"}, {"c": "starryNight"}],
+                  [_var("X"), {"c": "isParentOf"}, _var("F3")]]},
+        {"name": "v7", "head": [_var("Z"), _var("Y")],
+         "body": [[_var("Y"), {"c": "hasPainted"}, _var("Z")]]},
+    ],
+    "rewritings": [{
+        "query": "q1",
+        "plan": "project[X,Z]((v6 join[F3=Y] v7))",
+        "expr": {"op": "project", "columns": [_var("X"), _var("Z")],
+                 "child": {"op": "thetajoin",
+                           "left": {"op": "scan", "view": "v6"},
+                           "right": {"op": "scan", "view": "v7"},
+                           "pairs": [[_var("F3"), _var("Y")]]}},
+    }],
+}
+
+
+def test_a_thetajoin_plan_answers_as_the_query(painter_files, tmp_path, capsys):
+    """answer, and the plan evaluated over what materialize writes, give the
+    query's own rows from a document whose plan holds a "thetajoin"."""
+    triples, _, _ = painter_files
+    plan = tmp_path / "doc.json"
+    plan.write_text(json.dumps(THETAJOIN_DOCUMENT))
+    direct = evaluate(painter_query(), load_triples(PAINTER_TRIPLES))
+    assert direct
+
+    ans = tmp_path / "q1.tsv"
+    assert main(["answer", "--plan", str(plan), "--triples", str(triples),
+                 "--query", "q1", "--out", str(ans)]) == 0
+    assert read_tsv(ans) == (("X", "Z"), direct)
+
+    view_dir = tmp_path / "views"
+    assert main(["materialize", "--plan", str(plan), "--triples", str(triples),
+                 "--out-dir", str(view_dir)]) == 0
+    capsys.readouterr()
+    relations = {}
+    for vj in THETAJOIN_DOCUMENT["views"]:
+        view = query_from_json(vj)
+        header, rows = read_tsv(view_dir / f"{view.name}.tsv")
+        assert header == tuple(t.name for t in view.head)
+        relations[view.name] = Relation(view.name, view.head, frozenset(rows))
+    expr = expr_from_json(THETAJOIN_DOCUMENT["rewritings"][0]["expr"])
+    assert eval_expr(expr, relations).rows == direct
 
 
 def test_answer_unknown_query_name_is_input_error(tuned_doc, capsys):

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import painter_query
-from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp, scan_views
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp, scan_views
 from rdftuner.cost import CostWeights, Estimator
-from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var
+from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var, canonical_body_key
 from rdftuner.states import Rewriting, State, TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import MissingStatisticError, collect_statistics
 from rdftuner.store import evaluate, load_triples
@@ -263,6 +263,28 @@ def test_fusion_strictly_helps_on_identical_views():
     assert est.state_cost(fused[0].state).total < est.state_cost(s0).total
 
 
+def test_a_join_cut_under_a_view_break_joins_back_to_the_view(est):
+    """Break q3 into two pieces, then cut a join edge of one piece: every
+    rewriting derives q3's own body up to renaming, and so its row
+    estimate, also where the cut splits the piece at a variable the two
+    pieces are joined on."""
+    q = q_three()
+    form = canonical_body_key(q)
+    rows = est.body_rows(q.body)
+    ctx = TransitionContext()
+    splits = 0
+    for vb in iter_transitions(initial_state([q], ctx), ctx, kinds=("VB",)):
+        joined = set(vb.state.views[0].head) & set(vb.state.views[1].head)
+        for jc in iter_transitions(vb.state, ctx, kinds=("JC",)):
+            views = {v.name: v for v in jc.state.views}
+            node, _, _ = est._walk(jc.state.rewritings[0].expr, views)
+            assert canonical_body_key(ConjunctiveQuery("", (), node.body)) == form, jc.label
+            assert node.card == rows, jc.label
+            cut = Var(jc.label[jc.label.index("(") + 1 : -1])
+            splits += len(views) == 3 and cut in joined
+    assert splits
+
+
 def test_random_walk_costs_are_finite(painter_store):
     stats = collect_statistics([painter_query()], painter_store)
     est = Estimator(stats)
@@ -420,9 +442,6 @@ def renamed_state(state: State) -> State:
             return Rename(tree(e.child), tuple((sub(a), sub(b)) for a, b in e.mapping))
         if isinstance(e, NatJoin):
             return NatJoin(tree(e.left), tree(e.right))
-        if isinstance(e, ThetaJoin):
-            return ThetaJoin(tree(e.left), tree(e.right),
-                             tuple((sub(a), sub(b)) for a, b in e.pairs))
         return UnionOp(tuple(map(tree, e.children)))
 
     rewritings = tuple(Rewriting(r.query_name, tree(r.expr)) for r in state.rewritings)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
 from rdftuner import queries as queries_module
-from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, ThetaJoin, UnionOp
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
@@ -28,7 +28,6 @@ from rdftuner.queries import (
     UnionQuery,
     Var,
     are_equivalent,
-    atom,
     bodies_isomorphic,
     canonical_body_key,
     canonical_key,
@@ -48,6 +47,23 @@ from rdftuner.store import Relation, TripleStore, evaluate
 
 VARS = [Var(n) for n in "XYZW"]
 CONSTS = [Const(s) for s in ("a", "b", "p", "q")]
+
+
+def atom(s, p, o) -> TripleAtom:
+    """An atom from bare strings under the query-text convention (leading
+    uppercase or '?' means variable); terms pass through."""
+    return TripleAtom(_coerce(s), _coerce(p), _coerce(o))
+
+
+def _coerce(t):
+    if isinstance(t, (Var, Const)):
+        return t
+    if t.startswith("?"):
+        return Var(t[1:]) if len(t) > 1 else Var("?")
+    if t[:1].isupper():
+        return Var(t)
+    return Const(t)
+
 
 terms = st.sampled_from(VARS + CONSTS)
 atoms = st.builds(TripleAtom, terms, terms, terms)
@@ -564,7 +580,6 @@ def _record_cases():
         (Select, {"child": Scan("v1"), "left": x, "right": Const("a")}),
         (Project, {"child": Scan("v1"), "columns": (x,)}),
         (NatJoin, {"left": Scan("v1"), "right": Scan("v2")}),
-        (ThetaJoin, {"left": Scan("v1"), "right": Scan("v2"), "pairs": ((x, y),)}),
         (Rename, {"child": Scan("v1"), "mapping": ((x, y),)}),
         (UnionOp, {"children": (Scan("v1"), Scan("v2"))}),
         (Schema, {"statements": frozenset({(SUBCLASS, "a", "b")}),

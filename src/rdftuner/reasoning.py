@@ -177,8 +177,7 @@ def saturate(
     """
     d = store.dictionary
     out = TripleStore(d)
-    for t in store.triples:
-        out.add_coded(t)
+    out.triples = set(store.triples)
 
     sub_c = _transitive_closure(schema.pairs(SUBCLASS))
     sub_p = _transitive_closure(schema.pairs(SUBPROPERTY))
@@ -198,7 +197,7 @@ def saturate(
         for c2 in supers_of_class(c):
             out.add_coded((x, type_code, d.intern(c2)))
 
-    for s, p, o in list(store.triples):
+    for s, p, o in store.triples:
         psym = d.symbol(p)
         if p == type_code:
             type_all(s, d.symbol(o))

@@ -7,24 +7,31 @@ optional observer), and each child is admitted: deduplicated by signature,
 fusion-closed under avf, held back from expansion by a stop condition
 without being forgotten, and ranked against the best state so far with a
 deterministic tie-break of (cost, number of views, signature).  The same
-ranking orders exnaive's frontier and cuts frontiers to max_states.
+ranking orders every frontier, picks each fusion of a fusion closure and
+cuts frontiers to max_states.
 
-  exnaive  exhaustive, cheapest-first frontier, all transition kinds from
-           every state.
-  exstr    exhaustive but stratified: closes the space under view breaks,
-           then selection cuts, then join cuts, then fusions.  Reaches the
-           same states while applying no more transitions than exnaive.
-  gstr     greedy stratified: the same loop as exstr, but after each stratum
+A stratum is a set of transition kinds.  exnaive, exstr and gstr share one
+loop: for each stratum in turn, it closes the kept states under the
+stratum's kinds, always expanding the cheapest state of its frontier next.
+
+  exnaive  exhaustive, one stratum of all four kinds.
+  exstr    exhaustive but stratified: one stratum per kind, so it closes
+           the space under view breaks, then selection cuts, then join
+           cuts, then fusions.  Reaches the same states while applying no
+           more transitions than exnaive.
+  gstr     greedy stratified: the same strata as exstr, but after each one
            it keeps only the cheapest state it reached.
-  dfs      exhaustive depth-first variant of the stratified order with a
-           frontier bounded by the recursion depth.
+  dfs      exhaustive depth-first variant of the stratified order.  Its
+           frontier is a stack of (state, stratum) entries; the children of
+           one expansion go on it dearest first, so the cheapest child is
+           searched in full before its siblings.
 
 Aggressive view fusion (avf) closes every newly created state under fusion
 before admitting it, discarding the intermediates.  The timeout is checked
 inside each closure too, except the initial state's.
 
 max_states keeps the cheapest states of the frontier of exnaive and of each
-gstr stratum; exstr and dfs have no frontier to cut and reject it.
+gstr stratum; exstr and dfs always search exhaustively and reject it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,7 +82,7 @@ class SearchResult:
         return (c0 - self.best_cost.total) / c0
 
 
-# the strategies with a frontier that max_states bounds
+# the strategies whose frontier max_states may cut
 BOUNDED_STRATEGIES = ("exnaive", "gstr")
 
 
@@ -172,12 +178,12 @@ class _Run:
         cur = state
         while True:
             # several fusions (or head layouts) may apply; commit to the
-            # first cheapest so aggressive fusion never worsens the best cost
+            # cheapest so aggressive fusion never worsens the best cost
             tr = best_key = None
             for choice in iter_transitions(cur, self.ctx, ("VF",)):
                 if bounded and self.out_of_time():
                     return None
-                key = (self.est.state_cost(choice.state).total, choice.state.signature)
+                key = self._priority(choice.state)
                 if best_key is None or key < best_key:
                     tr, best_key = choice, key
             if tr is None:
@@ -236,12 +242,6 @@ class _Run:
 
     # -- strategies -------------------------------------------------------
 
-    def _cheapest(self, states, cap: int) -> list[State]:
-        """The `cap` cheapest of `states` by _priority, cheapest first; the
-        rest are counted as discarded."""
-        self.discarded += len(states) - cap
-        return sorted(states, key=self._priority)[:cap]
-
     def _expand(self, state: State, kinds):
         """Count `state` as explored, then apply each transition of `kinds`
         to it: count and observe it, and yield (child, expandable) from
@@ -255,50 +255,34 @@ class _Run:
             self._observe(tr.kind, state, tr.state)
             yield self.admit(tr.state)
 
-    def run_exnaive(self) -> SearchResult:
-        root, expandable = self.admit(self.initial, bounded=False)
-        heap = [(self._priority(root), root)] if expandable else []
-        cap = self.cfg.max_states
-        while heap:
-            self.note_peak(len(heap))
-            if self.out_of_time():
-                break
-            _, state = heapq.heappop(heap)
-            for child, expandable in self._expand(state, KINDS):
-                if expandable:
-                    heapq.heappush(heap, (self._priority(child), child))
-            if self.timed_out:
-                break
-            if cap is not None and len(heap) > cap:
-                # a sorted list is a heap
-                heap = [(self._priority(s), s)
-                        for s in self._cheapest([s for _, s in heap], cap)]
-        return self.result()
-
-    def run_stratified(self, greedy: bool) -> SearchResult:
-        """exstr (greedy false) and gstr: close the kept states under one
-        transition kind at a time, in KINDS order.  exstr keeps every state
-        it reaches; gstr keeps only the cheapest after each stratum."""
+    def run_strata(self, strata, greedy: bool = False) -> SearchResult:
+        """exnaive (one stratum of every kind), exstr and gstr (one stratum
+        per kind, in KINDS order): close the kept states under each
+        stratum's kinds, cheapest first.  exnaive and exstr keep every state
+        they reach; gstr keeps only the cheapest after each stratum."""
         root, _ = self.admit(self.initial, bounded=False)
         kept = {root.signature: root}
         cap = self.cfg.max_states
-        for kind in KINDS:
-            if self.timed_out or self.out_of_time():
+        for kinds in strata:
+            if self.timed_out:
                 break
-            worklist = deque(s for s in kept.values() if s.signature not in self.terminal)
-            if not worklist:
-                break
-            while worklist:
-                self.note_peak(len(worklist))
+            heap = [(self._priority(s), s) for s in kept.values()
+                    if s.signature not in self.terminal]
+            heapq.heapify(heap)
+            while heap:
+                self.note_peak(len(heap))
                 if self.out_of_time():
                     break
-                for child, expandable in self._expand(worklist.popleft(), (kind,)):
-                    if child.signature not in kept:
-                        kept[child.signature] = child
-                        if expandable:
-                            worklist.append(child)
-                if cap is not None and len(worklist) > cap:
-                    worklist = deque(self._cheapest(worklist, cap))
+                _, state = heapq.heappop(heap)
+                for child, expandable in self._expand(state, kinds):
+                    kept.setdefault(child.signature, child)
+                    if expandable:
+                        heapq.heappush(heap, (self._priority(child), child))
+                if self.timed_out:
+                    break
+                if cap is not None and len(heap) > cap:
+                    self.discarded += len(heap) - cap
+                    heap = heapq.nsmallest(cap, heap)  # a sorted list is a heap
             if greedy:
                 winner = min(kept.values(), key=self._priority)
                 self.discarded += len(kept) - 1
@@ -306,36 +290,26 @@ class _Run:
         return self.result()
 
     def run_dfs(self) -> SearchResult:
+        """Depth-first over (state, stratum) entries.  Popping (s, j) first
+        pushes (s, j + 1), then the non-terminal children of s under
+        KINDS[j], dearest first, so the cheapest is searched in full before
+        its siblings.  Each pair is expanded once."""
         root, expandable = self.admit(self.initial, bounded=False)
-        expanded: dict[tuple[str, ...], int] = {}
-
-        def jobs(state: State, j0: int):
-            for j in range(j0, len(KINDS)):
-                mask = expanded.get(state.signature, 0)
-                if mask & (1 << j) or self.timed_out:
-                    continue
-                expanded[state.signature] = mask | (1 << j)
-                for child, _ in self._expand(state, (KINDS[j],)):
-                    yield j, child
-
-        stack: list = []
-        if expandable:
-            stack.append(jobs(root, 0))
+        stack = [(root, 0)] if expandable else []
+        expanded: set[tuple[tuple[str, ...], int]] = set()
         while stack:
             self.note_peak(len(stack))
             if self.out_of_time():
                 break
-            item = next(stack[-1], None)
-            if item is None:
-                stack.pop()
+            state, j = stack.pop()
+            if (state.signature, j) in expanded:
                 continue
-            j, child = item
-            if child.signature in self.terminal:
-                continue
-            # descend if any stratum from j upward is still unexpanded there
-            upper = (((1 << len(KINDS)) - 1) >> j) << j
-            if (expanded.get(child.signature, 0) & upper) != upper:
-                stack.append(jobs(child, j))
+            expanded.add((state.signature, j))
+            if j + 1 < len(KINDS):
+                stack.append((state, j + 1))
+            children = [child for child, _ in self._expand(state, (KINDS[j],))
+                        if child.signature not in self.terminal]
+            stack.extend((child, j) for child in sorted(children, key=self._priority, reverse=True))
         return self.result()
 
 
@@ -347,7 +321,7 @@ def check_config(cfg: SearchConfig) -> None:
     if cfg.max_states is not None and cfg.strategy not in BOUNDED_STRATEGIES:
         raise ValueError(
             f"max_states (--max-states) caps the frontier of "
-            f"{' and '.join(BOUNDED_STRATEGIES)} only; {cfg.strategy} has none to cap"
+            f"{' and '.join(BOUNDED_STRATEGIES)} only; {cfg.strategy} always searches exhaustively"
         )
     if cfg.max_states is not None and cfg.max_states < 1:
         raise ValueError(f"max_states (--max-states) must be at least 1, got {cfg.max_states}")
@@ -365,9 +339,8 @@ def run_search(
     cfg = config or SearchConfig()
     check_config(cfg)
     run = _Run(initial, estimator, ctx, cfg)
-    return {
-        "exnaive": run.run_exnaive,
-        "exstr": lambda: run.run_stratified(greedy=False),
-        "dfs": run.run_dfs,
-        "gstr": lambda: run.run_stratified(greedy=True),
-    }[cfg.strategy]()
+    if cfg.strategy == "dfs":
+        return run.run_dfs()
+    if cfg.strategy == "exnaive":
+        return run.run_strata([KINDS])
+    return run.run_strata([(kind,) for kind in KINDS], greedy=cfg.strategy == "gstr")

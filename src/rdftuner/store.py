@@ -142,21 +142,13 @@ class TripleStore:
             idx = self._by_property[pos, p] = _grouped(triples, _KEY_OF[pos,])
         return idx
 
-    def lookup(self, pattern: tuple[int | None, int | None, int | None]) -> list[Triple]:
+    def lookup(self, pattern: tuple[int | None, int | None, int | None]
+               ) -> list[Triple] | tuple[Triple, ...]:
         """All triples matching the partially bound pattern."""
-        s, p, o = pattern
-        if p is not None:
-            if s is None:
-                if o is None:
-                    return self._index_for((1,)).get(p, [])
-                return self._property_index(2, p).get(o, [])
-            if o is None:
-                return self._property_index(0, p).get(s, [])
-            return [(s, p, o)] if (s, p, o) in self.triples else []
-        mask = tuple(i for i in (0, 2) if pattern[i] is not None)
-        if not mask:
+        if pattern == (None, None, None):
             return list(self.triples)
-        return self._index_for(mask).get(_KEY_OF[mask](pattern), [])
+        slot_of = [None if code is None else i for i, code in enumerate(pattern)]
+        return _candidates(self, slot_of, pattern[1], list(pattern))()
 
     def count_pattern(self, a: TripleAtom) -> int:
         """Number of stored triples matching one atom (repeated variables
@@ -340,9 +332,9 @@ def _plan(q: ConjunctiveQuery, store: TripleStore) -> tuple[list[tuple], list[in
     Steps follow `_atom_order`.  Slots 0.. hold the head variables in order
     of first occurrence, then the body's other variables, then the codes of
     the constants, so every bound position reads a slot.  A step is its
-    candidates (a list when they depend on constants alone, looked up here
-    once, else a function of the slots), the (position, slot) pairs it
-    binds and the position pairs where a variable repeated in the atom
+    candidates (a sequence when they depend on constants alone, looked up
+    here once, else a function of the slots), the (position, slot) pairs
+    it binds and the position pairs where a variable repeated in the atom
     must agree.  A step that binds nothing the head or a later step reads
     only tests existence; one on constants alone is decided here and
     dropped.
@@ -412,7 +404,7 @@ def _step(cands, binds, checks, nxt, slots: list[int]):
     """One step of a plan as a function that runs it and, for each match,
     the steps after it (`nxt`): for the first match only when the step
     binds nothing."""
-    probe = (lambda: cands) if isinstance(cands, list) else cands
+    probe = cands if callable(cands) else (lambda: cands)
     if not binds:
         if not checks:
             def run() -> None:

@@ -135,6 +135,30 @@ def test_gstr_keeps_the_cheapest_state_of_each_stratum(queries, store, max_state
     assert res.best.signature == min(reached.values(), key=rank).signature
 
 
+@pytest.mark.parametrize("strategy", ["exstr", "gstr", "dfs"])
+def test_the_cheapest_child_of_the_root_is_expanded_next(strategy):
+    """The first state after the root to be expanded is the cheapest of the
+    children the root has made by then.  On the painter query no child of a
+    view break breaks further, so exstr and gstr first expand a selection
+    cut of the root, while dfs expands a view break of it."""
+    log = []
+    res, _ = run([painter_query()], PAINTER, strategy=strategy,
+                 on_transition=lambda kind, parent, child: log.append((kind, parent, child)))
+    est = Estimator(collect_statistics([painter_query()], PAINTER))
+    root = res.initial.signature
+    after_root = next(i for i, (_, parent, _) in enumerate(log) if parent.signature != root)
+    children = [child for _, _, child in log[:after_root]]
+    assert len(children) > 1
+    cheapest = min(children, key=lambda s: (est.state_cost(s).total, len(s.views), s.signature))
+    assert log[after_root][1].signature == cheapest.signature
+    if strategy == "dfs":
+        # every child of the root's first stratum is made before any state
+        # but the root is expanded
+        first_kind = log[0][0]
+        assert all(i < after_root for i, (kind, parent, _) in enumerate(log)
+                   if parent.signature == root and kind == first_kind)
+
+
 def test_gstr_explores_less_than_exhaustive():
     greedy, _ = run([painter_query()], PAINTER, strategy="gstr")
     full, _ = run([painter_query()], PAINTER, strategy="exnaive")

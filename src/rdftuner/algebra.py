@@ -8,6 +8,7 @@ scan leaves (replace_scans).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .queries import Const, QueryError, Term, Var, _Record, _set
@@ -127,6 +128,16 @@ def _col_index(columns: tuple[Term, ...], t: Term) -> int:
     raise QueryError(f"column {t} not found among {columns}")
 
 
+def _row_getter(idx: list[int]):
+    """The function from a row to the tuple of its values at `idx`."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda r: (r[i],)
+    return lambda r: ()
+
+
 def eval_expr(expr: Expr, relations: dict[str, Relation]) -> Relation:
     """Set-semantics evaluation; column labels are the views' head terms."""
     if isinstance(expr, Scan):
@@ -159,26 +170,41 @@ def eval_expr(expr: Expr, relations: dict[str, Relation]) -> Relation:
                 consts.append(t.symbol)
             else:
                 raise QueryError(f"projection on unbound variable {t}")
-        rows = frozenset(
-            tuple(r[i] if i is not None else consts[k] for k, i in enumerate(idx))
-            for r in child.rows
-        )
+        if None in idx:
+            rows = frozenset(
+                tuple(r[i] if i is not None else consts[k] for k, i in enumerate(idx))
+                for r in child.rows
+            )
+        else:
+            rows = frozenset(map(_row_getter(idx), child.rows))
         return Relation(child.name, expr.columns, rows)
 
     if isinstance(expr, NatJoin):
         left = eval_expr(expr.left, relations)
         right = eval_expr(expr.right, relations)
         shared = [c for c in left.columns if c in right.columns]
-        li = [_col_index(left.columns, c) for c in shared]
-        ri = [_col_index(right.columns, c) for c in shared]
+        if shared:
+            # a one-column key is the value itself, on both sides alike
+            left_key = itemgetter(*(_col_index(left.columns, c) for c in shared))
+            right_key = itemgetter(*(_col_index(right.columns, c) for c in shared))
+        else:
+            left_key = right_key = _row_getter([])
         rest = [i for i, c in enumerate(right.columns) if c not in shared]
-        table: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for r in right.rows:
-            table.setdefault(tuple(r[i] for i in ri), []).append(r)
+        # the right rows' other columns, by their values in the shared ones
+        table: dict = {}
+        for key, tail in zip(map(right_key, right.rows), map(_row_getter(rest), right.rows)):
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [tail]
+            else:
+                bucket.append(tail)
+        get = table.get
         out = set()
-        for l in left.rows:
-            for r in table.get(tuple(l[i] for i in li), ()):
-                out.add(l + tuple(r[i] for i in rest))
+        add = out.add
+        for l, tails in zip(left.rows, map(get, map(left_key, left.rows))):
+            if tails is not None:
+                for tail in tails:
+                    add(l + tail)
         columns = left.columns + tuple(right.columns[i] for i in rest)
         return Relation(left.name, columns, frozenset(out))
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Collection
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,11 +42,14 @@ from .algebra import (
 from .choices import COMMONALITY, SHAPES, STRATEGIES
 from .queries import (
     ConjunctiveQuery,
+    Const,
     QueryError,
     TripleAtom,
+    UnionQuery,
     format_query,
     key_cache_info,
     parse_queries,
+    without_contained_members,
 )
 from .reasoning import (
     MODES,
@@ -79,8 +83,10 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def load_store_file(path: str) -> TripleStore:
-    return load_triples(_read_text(path))
+def load_store_file(path: str, properties: Collection[str] | None = None) -> TripleStore:
+    """The store of the triple file at `path`; given `properties`, of its
+    triples whose property is one of these symbols (`load_triples`)."""
+    return load_triples(_read_text(path), properties)
 
 
 def load_schema_file(path: str) -> Schema:
@@ -134,23 +140,51 @@ def statistics_for_mode(
     return collect_statistics(list(views), store)
 
 
+def _properties_named(queries: list[ConjunctiveQuery | UnionQuery]) -> set[str] | None:
+    """The property symbols the queries' atoms name; None when an atom's
+    property is a variable."""
+    properties = set()
+    for q in queries:
+        for m in q.members if isinstance(q, UnionQuery) else (q,):
+            for a in m.body:
+                if not isinstance(a.p, Const):
+                    return None
+                properties.add(a.p.symbol)
+    return properties
+
+
 def view_relations(
     views: list[ConjunctiveQuery] | tuple[ConjunctiveQuery, ...],
-    store: TripleStore,
+    triples: str,
     schema: Schema | None,
     mode: str,
 ) -> dict[str, Relation]:
-    """Materialize the given views the way the chosen mode prescribes."""
-    views = list(views)
+    """Materialize the given views the way the chosen mode prescribes, over
+    the triple file at `triples`.
+
+    Plain and pre-reformulated views are evaluated over the raw store.  A
+    post-reformulated view is evaluated as its reformulation over the raw
+    store, without the members another member contains
+    (`without_contained_members`): their answers are among that member's.
+    A saturated view is evaluated over the saturated store.
+
+    The queries to evaluate are fixed before the file is read, and only
+    the triples of the properties their atoms name are loaded.  The whole
+    file is loaded when an atom's property is a variable, and in saturate
+    mode, whose derived triples may come from any property.
+    """
     _require_schema(mode, schema)
+    queries: list[ConjunctiveQuery | UnionQuery] = list(views)
     if mode == "post":
         assert schema is not None
-        unions = reformulate_views_for_materialization(views, schema)
-        return {u.name: materialize(u, store) for u in unions}
+        unions = reformulate_views_for_materialization(list(views), schema)
+        queries = [without_contained_members(u) for u in unions]
+    properties = None if mode == "saturate" else _properties_named(queries)
+    store = load_store_file(triples, properties)
     if mode == "saturate":
         assert schema is not None
         store = saturate(store, schema)
-    return {v.name: materialize(v, store) for v in views}
+    return {q.name: materialize(q, store) for q in queries}
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +304,7 @@ def write_trace(path: str, result: SearchResult) -> None:
 
 
 def _relation_tsv(rel: Relation) -> str:
-    lines = ["\t".join(rel.column_names())]
-    for row in sorted(rel.rows):
-        lines.append("\t".join(row))
+    lines = ["\t".join(rel.column_names()), *map("\t".join, sorted(rel.rows))]
     return "\n".join(lines) + "\n"
 
 
@@ -414,9 +446,8 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 
 def cmd_materialize(args: argparse.Namespace) -> int:
     doc = load_document(args.plan)
-    store = load_store_file(args.triples)
     views = document_views(doc)
-    relations = view_relations(views, store, document_schema(doc), doc["mode"])
+    relations = view_relations(views, args.triples, document_schema(doc), doc["mode"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for v in views:
@@ -428,14 +459,13 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 
 def cmd_answer(args: argparse.Namespace) -> int:
     doc = load_document(args.plan)
-    store = load_store_file(args.triples)
     plans = document_plans(doc)
     if args.query not in plans:
         raise InputError(f"no rewriting for query {args.query!r} (have: {', '.join(plans)})")
     expr = plans[args.query]
     scanned = set(scan_views(expr))
     views = [v for v in document_views(doc) if v.name in scanned]
-    relations = view_relations(views, store, document_schema(doc), doc["mode"])
+    relations = view_relations(views, args.triples, document_schema(doc), doc["mode"])
     rel = eval_expr(expr, relations)
     _write_out(_relation_tsv(rel), args.out)
     return 0

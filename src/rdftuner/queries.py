@@ -379,6 +379,37 @@ def are_equivalent(a: ConjunctiveQuery, b: ConjunctiveQuery) -> bool:
     )
 
 
+def without_contained_members(u: UnionQuery) -> UnionQuery:
+    """u without the members whose answers another member's include on
+    every store (Sagiv & Yannakakis, JACM 1980), so it has the same answers.
+
+    Member m goes when another member k has a containment mapping into it,
+    unless m also maps into k, which makes them equivalent, and comes before
+    k.  The members kept stay in order.  A containment mapping sends each
+    constant to itself, so k can contain m only if every constant of k
+    occurs in m; no mapping is searched for a pair that fails this test.
+    """
+    members = u.members
+    if len(members) < 2:
+        return u
+    constants = [
+        {t for a in m.body for t in a.terms if isinstance(t, Const)}
+        | {t for t in m.head if isinstance(t, Const)}
+        for m in members
+    ]
+
+    def contains(k: int, m: int) -> bool:
+        return (constants[k] <= constants[m]
+                and find_containment_mapping(members[k], members[m]) is not None)
+
+    kept = tuple(
+        m for i, m in enumerate(members)
+        if not any(k != i and contains(k, i) and (k < i or not contains(i, k))
+                   for k in range(len(members)))
+    )
+    return u if len(kept) == len(members) else UnionQuery(u.name, kept)
+
+
 def bodies_isomorphic(a: ConjunctiveQuery, b: ConjunctiveQuery) -> list[dict[Var, Var]]:
     """Bijective variable renamings carrying b's body onto a's body, one for
     each distinct image of b's head variables.

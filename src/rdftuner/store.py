@@ -22,11 +22,17 @@ schema files read the same tokens, and `render_symbol` writes every symbol
 that loading can produce so that it reads back unchanged.  Lines holding
 none of '"', '#' and '<' load through `str.split`, which reads the same
 tokens.
+
+Given a set of property symbols, loading keeps only the triples of those
+properties, the partitions a query reads (Abadi et al., "Scalable Semantic
+Web Data Management Using Vertical Partitioning", VLDB 2007).  It still
+tokenizes and checks every line, and interns no symbol of a line it skips.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from operator import itemgetter
 
 from .queries import (
@@ -195,7 +201,12 @@ def tokenize_line(line: str, where: str) -> list[str]:
     return toks
 
 
-def load_triples(text: str) -> TripleStore:
+def load_triples(text: str, properties: Collection[str] | None = None) -> TripleStore:
+    """The store of the triples in `text`, or, given `properties`, of those
+    whose property is one of these symbols.  Every line is tokenized and
+    checked either way, so a malformed line raises `StoreError` with its
+    number whether or not its triple is kept; the symbols of a skipped
+    line are not interned."""
     store = TripleStore()
     d = store.dictionary
     codes = d._by_symbol
@@ -214,6 +225,8 @@ def load_triples(text: str) -> TripleStore:
         if len(toks) != 3:
             raise StoreError(f"line {lineno}: expected 3 terms, got {len(toks)}")
         s, p, o = toks
+        if properties is not None and p not in properties:
+            continue
         add((intern(s, len(codes)), intern(p, len(codes)), intern(o, len(codes))))
     d._by_code.extend(codes)
     return store

@@ -4,17 +4,34 @@ files in tmp_path, then inspect exit codes, stdout, and output files."""
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import GALLERY_SCHEMA, PAINTER_TRIPLES, painter_query
+from conftest import (
+    GALLERY_SCHEMA,
+    PAINTER_TRIPLES,
+    painter_query,
+    random_query,
+    random_schema,
+    random_store,
+)
 from rdftuner import cli, reasoning, search
 from rdftuner.algebra import eval_expr, expr_from_json, scan_views
 from rdftuner.cli import main, query_from_json
-from rdftuner.queries import Const, parse_queries
+from rdftuner.queries import (
+    ConjunctiveQuery,
+    Const,
+    UnionQuery,
+    Var,
+    find_containment_mapping,
+    parse_queries,
+    without_contained_members,
+)
 from rdftuner.reasoning import format_schema, parse_schema, saturate
 from rdftuner.stats import pattern_of
 from rdftuner.store import Relation, evaluate, load_triples, materialize
@@ -377,6 +394,125 @@ def test_answer_materializes_only_the_views_its_rewriting_scans(
         assert sorted(reformulated) == (scanned if mode == "post" else [])
         query = next(q for q in parse_queries(queries.read_text()) if q.name == r["query"])
         assert read_tsv(ans)[1] == evaluate(query, store)
+
+
+# ---------------------------------------------------------------------------
+# answering loads only the properties its views read
+
+ANSWERING_WORKLOADS = {
+    "painter": PAINTER_QUERY_TEXT,
+    # a variable property: every triple is loaded
+    "variable-property": "qv(X, P) :- t(X, P, starryNight), t(X, isParentOf, Y) .",
+    # moma occurs only on an isExpIn line, which no view reads
+    "skipped-constant": "qm(X, Y) :- t(X, hasPainted, Y), t(X, isParentOf, moma) .",
+}
+
+
+def tsv_of(columns, rows):
+    return "".join("\t".join(r) + "\n" for r in [[str(c) for c in columns], *sorted(rows)])
+
+
+def full_store_relations(views, mode):
+    """The views' relations evaluated over the whole painter store, each
+    post-mode view as its whole reformulation."""
+    store = load_triples(PAINTER_TRIPLES)
+    schema = parse_schema(GALLERY_SCHEMA)
+    if mode == "saturate":
+        store = saturate(store, schema)
+    if mode == "post":
+        return {v.name: materialize(reasoning.reformulate(v, schema), store) for v in views}
+    return {v.name: materialize(v, store) for v in views}
+
+
+@pytest.mark.parametrize("mode", ["plain", "saturate", "pre", "post"])
+@pytest.mark.parametrize("workload", sorted(ANSWERING_WORKLOADS))
+def test_answering_writes_what_a_full_store_evaluation_gives(painter_files, tmp_path, capsys,
+                                                              mode, workload):
+    triples, _, schema = painter_files
+    queries = tmp_path / "w.txt"
+    queries.write_text(ANSWERING_WORKLOADS[workload])
+    doc = tmp_path / "doc.json"
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries),
+                 "--schema", str(schema), "--mode", mode, "--strategy", "gstr", "--avf",
+                 "--out", str(doc)]) == 0
+    view_dir = tmp_path / "views"
+    assert main(["materialize", "--plan", str(doc), "--triples", str(triples),
+                 "--out-dir", str(view_dir)]) == 0
+    capsys.readouterr()
+    plan = cli.load_document(str(doc))
+    views = cli.document_views(plan)
+    relations = full_store_relations(views, mode)
+    for v in views:
+        rel = relations[v.name]
+        assert (view_dir / f"{v.name}.tsv").read_text() == tsv_of(rel.columns, rel.rows)
+    for name, expr in cli.document_plans(plan).items():
+        ans = tmp_path / f"{name}.tsv"
+        assert main(["answer", "--plan", str(doc), "--triples", str(triples),
+                     "--query", name, "--out", str(ans)]) == 0
+        rel = eval_expr(expr, relations)
+        assert ans.read_text() == tsv_of(rel.columns, rel.rows)
+    if workload == "skipped-constant":
+        assert rel.rows == frozenset()
+
+
+@pytest.mark.parametrize("mode", ["plain", "pre", "post"])
+def test_answer_loads_only_the_properties_its_rewriting_reads(
+        painter_files, tmp_path, capsys, monkeypatch, mode):
+    triples, _, schema = painter_files
+    queries = tmp_path / "two.txt"
+    queries.write_text(PAINTER_QUERY_TEXT + "\nq2(X) :- t(X, rdf:type, picture) .")
+    doc = tmp_path / "doc.json"
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries),
+                 "--schema", str(schema), "--mode", mode, "--strategy", "gstr", "--avf",
+                 "--out", str(doc)]) == 0
+    capsys.readouterr()
+    plan = cli.load_document(str(doc))
+    loaded = []
+
+    def recording_load(text, *properties, real=cli.load_triples):
+        loaded.append(real(text, *properties))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_triples", recording_load)
+    whole = load_triples(PAINTER_TRIPLES)
+    for name, expr in cli.document_plans(plan).items():
+        loaded.clear()
+        scanned = set(scan_views(expr))
+        views = [v for v in cli.document_views(plan) if v.name in scanned]
+        if mode == "post":
+            views = [m for v in views for m in reasoning.reformulate(v, parse_schema(
+                GALLERY_SCHEMA)).members]
+        read = {a.p.symbol for v in views for a in v.body}
+        assert main(["answer", "--plan", str(doc), "--triples", str(triples),
+                     "--query", name, "--out", str(tmp_path / "a.tsv")]) == 0
+        (store,) = loaded
+        assert {store.symbols(t) for t in store.triples} == {
+            whole.symbols(t) for t in whole.triples if whole.dictionary.symbol(t[1]) in read}
+        assert len(store) < len(whole)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_dropping_contained_members_keeps_a_unions_answers(seed):
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    store = random_store(rng, schema, max_triples=30)
+    q = random_query(rng, schema)
+    members = list(reasoning.reformulate(q, schema).members)
+    # an equivalent copy and a specialization of a member, so that pairs
+    # contain each other both ways and one way
+    m = rng.choice(members)
+    members.append(m.rename({v: Var(v.name + "c") for v in m.variables()}))
+    members.append(ConjunctiveQuery(m.name, m.head, m.body + (rng.choice(q.body),)))
+    rng.shuffle(members)
+    union = UnionQuery(q.name, tuple(members))
+    pruned = without_contained_members(union)
+    assert evaluate(pruned, store) == evaluate(union, store)
+    rest = iter(union.members)
+    assert all(any(k is m for m in rest) for k in pruned.members)  # kept in order
+    assert len(pruned.members) < len(members)
+    for m in union.members:
+        assert any(find_containment_mapping(k, m) is not None for k in pruned.members)
 
 
 # ---------------------------------------------------------------------------

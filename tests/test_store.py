@@ -261,6 +261,34 @@ def test_load_errors_name_the_line():
         load_triples("s p # <o>\n")
 
 
+# lines of every kind the loader reads: bare, IRI and literal tokens, a
+# trailing comment, a comment alone and a blank line
+LOADER_LINES = st.sampled_from([
+    "a p b", "b q c", "c p a", "<a#b> p <c>", 's q "lit # not a comment"',
+    '<http://x.org/p#r> <r> "x"', "a <r> b # a comment", "# only a comment", "",
+    "b <http://x.org/p#r> <a#b>", '"lit" p "lit"',
+])
+LOADER_PROPERTIES = ["p", "q", "r", "http://x.org/p#r", "zz"]
+
+
+@given(st.lists(LOADER_LINES, max_size=12),
+       st.sets(st.sampled_from(LOADER_PROPERTIES)))
+def test_loading_some_properties_is_the_full_load_restricted(lines, properties):
+    text = "\n".join(lines) + "\n"
+    full = symbol_triples(load_triples(text))
+    some = load_triples(text, properties)
+    assert symbol_triples(some) == {t for t in full if t[1] in properties}
+    # nothing of a skipped line is interned
+    assert len(some.dictionary) == len({sym for t in symbol_triples(some) for sym in t})
+
+
+def test_a_malformed_line_of_a_skipped_property_names_its_line():
+    with pytest.raises(StoreError, match="line 3: expected 3 terms, got 4"):
+        load_triples("a p b\nb q c\nc q d e\n", {"p"})
+    with pytest.raises(StoreError, match="line 2: unterminated literal"):
+        load_triples('a p b\ns q "open\n', {"p"})
+
+
 def test_dump_brackets_what_a_bare_token_cannot_hold():
     store = TripleStore()
     store.add("a#b", "with space", '"lit"')

@@ -163,27 +163,22 @@ def view_relations(
     the triple file at `triples`.
 
     Plain and pre-reformulated views are evaluated over the raw store.  A
-    post-reformulated view is evaluated as its reformulation over the raw
-    store, without the members another member contains
+    post-reformulated or saturated view is evaluated as its reformulation
+    over the raw store, which gives its answers over the saturated store,
+    without the members another member contains
     (`without_contained_members`): their answers are among that member's.
-    A saturated view is evaluated over the saturated store.
 
     The queries to evaluate are fixed before the file is read, and only
     the triples of the properties their atoms name are loaded.  The whole
-    file is loaded when an atom's property is a variable, and in saturate
-    mode, whose derived triples may come from any property.
+    file is loaded when an atom's property is a variable.
     """
     _require_schema(mode, schema)
     queries: list[ConjunctiveQuery | UnionQuery] = list(views)
-    if mode == "post":
+    if mode in ("saturate", "post"):
         assert schema is not None
         unions = reformulate_views_for_materialization(list(views), schema)
         queries = [without_contained_members(u) for u in unions]
-    properties = None if mode == "saturate" else _properties_named(queries)
-    store = load_store_file(triples, properties)
-    if mode == "saturate":
-        assert schema is not None
-        store = saturate(store, schema)
+    store = load_store_file(triples, _properties_named(queries))
     return {q.name: materialize(q, store) for q in queries}
 
 

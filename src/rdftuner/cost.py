@@ -20,23 +20,27 @@ search relies on.
 
 A transition changes a few views and the rewritings that scan them; the rest
 of the child state is the parent's own objects, and what the transition
-makes is often a copy, under fresh names, of a view or tree costed before:
-SC and JC name fresh variables, and every new view gets a fresh name.
-state_cost therefore memoizes each view's space and maintenance terms by
-the view's shape (`queries.shape`: its head and body with the variables
-renamed by first occurrence), and each rewriting's cost by the `Rewriting`
-object, in a weak table whose entries go with their states, and, on a miss
-there, by the tree's shape (`_tree_shape`: the tree with each scan replaced
-by its view's head and body and the variables renamed across the whole
-tree).  A rewriting is made against one state's views and handed on only to
-children that keep every view it scans, and view names are fresh within a
-`TransitionContext`, so it never meets another view under a name it scans.
-A memoized value is the same to the last bit as a fresh
-computation: the walk compares terms only for equality, which a one-to-one
-renaming keeps, cardinalities depend only on a body's isomorphism class,
-and sums run in tree order.  A child state pays only for what its
-transition changed, and the terms are summed in the same order as a full
-recomputation, so the totals are the same to the last bit too.
+makes is often a copy of a view or tree costed before, under a fresh view
+name.  A variable a transition invents is the lowest `F<i>` its view does
+not use (`queries.fresh_var`), so one transition of one view makes views
+with equal terms in every state that holds the view.  state_cost
+therefore memoizes each view's space and maintenance terms by the view's
+head and body, and each rewriting's cost by the `Rewriting` object, in a
+weak table whose entries go with their states, and, on a miss there, by
+the tree's shape (`_tree_shape`: the tree with each scan replaced by its
+view's head and body).  A rewriting is made against one state's views and
+handed on only to children that keep every view it scans, and view names
+are fresh within a `TransitionContext`, so it never meets another view
+under a name it scans.
+
+Costs do not depend on the names of invented variables: the selection or
+rename right above each scan of a cut view (SC's `Select(f=c)`, JC's
+`Select(f=x)` or `Rename(f->x)`) eliminates its fresh variable, so the body
+a walk derives above it holds the variables of the view it replaces, and
+the projection above restores that view's columns.  A memoized value is the
+same to the last bit as a fresh computation, and a child state pays only
+for what its transition changed: the terms are summed in the same order as
+a full recomputation, so the totals are the same to the last bit too.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .algebra import (
     Scan,
     Select,
 )
-from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var, shape
+from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var
 from .states import Rewriting, State
 from .stats import WorkloadStatistics
 
@@ -124,7 +128,7 @@ class Estimator:
         self._state_cache: weakref.WeakKeyDictionary[State, CostBreakdown] = (
             weakref.WeakKeyDictionary()
         )
-        # view shape -> (vso term, vmc term)
+        # (view head, view body) -> (vso term, vmc term)
         self._view_terms: dict[tuple, tuple[float, float]] = {}
         # by rewriting object, weakly: a state's children share its rewritings
         self._costs_by_rewriting: weakref.WeakKeyDictionary[Rewriting, float] = (
@@ -255,7 +259,7 @@ class Estimator:
         vso = 0.0
         vmc = 0.0
         for v in state.views:
-            key = shape(v.head, v.body)
+            key = (v.head, v.body)
             terms = self._view_terms.get(key)
             if terms is None:
                 terms = (self.view_rows(v) * self.view_width(v), math.pow(w.f, len(v.body)))
@@ -286,8 +290,8 @@ class Estimator:
 
     def cache_counts(self) -> dict[str, dict[str, int]]:
         """Hits and misses of each memo since the estimator was made: row
-        estimates by body, view terms by view shape, rewriting costs by the
-        `Rewriting` object (`rewriting_by_tree`) and by tree shape.  The
+        estimates by body, view terms by view head and body, rewriting costs
+        by the `Rewriting` object (`rewriting_by_tree`) and by tree shape.  The
         memo by rewriting evicts with its rewritings, and its misses are the
         lookups by tree shape; no other memo evicts, so their misses are
         their sizes."""
@@ -300,20 +304,10 @@ class Estimator:
 
 def _tree_shape(expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
     """The tree in preorder, a flat tuple: each node's type and its terms,
-    with a count before each list of them, a scan as its view's head and
-    body, and every variable as its number in order of first occurrence
-    across the whole tree.  Two trees get equal shapes exactly when one is
-    the other with its views' names and its variables renamed one to one."""
+    a scan as its view's head and body, a union with its number of
+    children.  Two trees get equal shapes exactly when they are equal up to
+    the names of the views they scan."""
     out: list = []
-    numbers: dict[Var, int] = {}
-
-    def put(terms) -> None:
-        out.append(len(terms))
-        for t in terms:
-            if isinstance(t, Var):
-                t = numbers.setdefault(t, len(numbers))
-            out.append(t)
-
     stack = [expr]
     while stack:
         e = stack.pop()
@@ -321,18 +315,15 @@ def _tree_shape(expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
         out.append(kind)
         if kind is Scan:
             view = views[e.view]
-            put(view.head)
-            out.append(len(view.body))
-            for a in view.body:
-                put(a.terms)
+            out += (view.head, view.body)
         elif kind is Select:
-            put((e.left, e.right))
+            out += (e.left, e.right)
             stack.append(e.child)
         elif kind is Project:
-            put(e.columns)
+            out.append(e.columns)
             stack.append(e.child)
         elif kind is Rename:
-            put([t for pair in e.mapping for t in pair])
+            out.append(e.mapping)
             stack.append(e.child)
         elif kind is NatJoin:
             stack += (e.right, e.left)

@@ -242,6 +242,19 @@ def make_union(name: str, members: list[ConjunctiveQuery]) -> UnionQuery:
     return UnionQuery(name, tuple(kept.values()))
 
 
+def fresh_var(prefix: str, q: ConjunctiveQuery) -> Var:
+    """The variable `prefix<i>` of the lowest i >= 1 that q's head and body
+    do not use.  Every variable a transition or a reformulation rule
+    invents is named so: one transition of one view, or one rule applied
+    to one query, builds equal terms wherever it runs."""
+    used = {t.name for t in q.head if isinstance(t, Var)}
+    used.update(v.name for v in q.variables())
+    i = 1
+    while f"{prefix}{i}" in used:
+        i += 1
+    return Var(f"{prefix}{i}")
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -622,37 +635,10 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> tuple[str, tuple[int,
 
 # Every key below is cached by the head and body it depends on, never by
 # the query object, so the caches keep no query alive.  Terms and atoms are
-# interned, so hashing a body hashes the identity of each atom.  View keys
-# and body forms are cached by shape alone: `shape`, whose cache the
-# estimator's view terms share, renames the variables, and each shape is
-# canonicalised once.  Transitions name fresh variables F1, F2, ... from a
-# counter that runs across a whole search, so a view that differs from one
-# seen before only in variable names (or in its own name) is not
-# canonicalised again.  `canonical_key` serves reformulation and fusion and
-# keeps a direct cache: routing it through shapes raised the peak memory of
-# a reformulating tune by about a tenth.
-
-
-@lru_cache(maxsize=200_000)
-def shape(head: tuple[Term, ...], body: tuple[TripleAtom, ...]
-          ) -> tuple[tuple[Term, ...], tuple[TripleAtom, ...]]:
-    """The shape of a head and body: both with their variables renamed _0,
-    _1, ... in order of first occurrence, head first, and constants kept.
-    Two heads and bodies have equal shapes exactly when one is the other
-    with its variables renamed one to one, atom order and head order
-    kept."""
-    names: dict[Var, Var] = {}
-
-    def sub(t: Term) -> Term:
-        if isinstance(t, Const):
-            return t
-        got = names.get(t)
-        if got is None:
-            got = names[t] = Var(f"_{len(names)}")
-        return got
-
-    s_head = tuple(sub(t) for t in head)
-    return s_head, tuple(TripleAtom(sub(a.s), sub(a.p), sub(a.o)) for a in body)
+# interned, so hashing a body hashes the identity of each atom.  Transitions
+# and reformulation name each variable they invent by `fresh_var`, so one
+# transition of one view builds views of equal heads and bodies in every
+# state that holds it, and they hit these caches.
 
 
 def canonical_key(q: ConjunctiveQuery) -> str:
@@ -675,11 +661,11 @@ def view_key(q: ConjunctiveQuery) -> str:
     Two views that differ only in head ordering store the same columns, so
     state signatures treat them as the same view.
     """
-    return _shape_view_key(*shape(q.head, q.body))
+    return _view_key(q.head, q.body)
 
 
 @lru_cache(maxsize=200_000)
-def _shape_view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
+def _view_key(head: tuple[Term, ...], body: tuple[TripleAtom, ...]) -> str:
     return _canonical(ConjunctiveQuery("", head, body), ordered_head=False)[0]
 
 
@@ -688,22 +674,15 @@ def canonical_body_key(q: ConjunctiveQuery) -> str:
     return _body_form(q.body)[0]
 
 
-def _body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tuple]:
-    # the shape keeps atom order, so its canonical atom order and
-    # automorphisms are the body's own
-    return _shape_body_form(shape((), body)[1])
-
-
 @lru_cache(maxsize=200_000)
-def _shape_body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tuple]:
+def _body_form(body: tuple[TripleAtom, ...]) -> tuple[str, tuple[int, ...], tuple]:
     return _canonical(ConjunctiveQuery("", (), body), ordered_head=True)
 
 
 def key_cache_info() -> dict[str, tuple[int, int]]:
-    """Hits and misses of the shape cache and of the view-key and body-form
-    caches by shape, since the process started."""
-    caches = {"shape": shape, "view_key_shape": _shape_view_key,
-              "body_form_shape": _shape_body_form}
+    """Hits and misses of the view-key, body-form and canonical-key caches
+    since the process started."""
+    caches = {"view_key": _view_key, "body_form": _body_form, "canonical_key": _canonical_key}
     return {name: fn.cache_info()[:2] for name, fn in caches.items()}
 
 

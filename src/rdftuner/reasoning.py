@@ -18,10 +18,10 @@ from .queries import (
     RDF_TYPE,
     TripleAtom,
     UnionQuery,
-    Var,
     _Record,
     _set,
     canonical_key,
+    fresh_var,
     make_union,
     minimize,
 )
@@ -226,21 +226,6 @@ def saturate(
 # reformulation
 
 
-class _FreshVars:
-    """Existential variable supply for the domain/range rules."""
-
-    def __init__(self, avoid: set[str]) -> None:
-        self._avoid = avoid
-        self._n = 0
-
-    def next(self) -> Var:
-        while True:
-            self._n += 1
-            name = f"E{self._n}"
-            if name not in self._avoid:
-                return Var(name)
-
-
 def _rule_targets(schema: Schema) -> dict[str, list]:
     return {
         "sub_classes": schema.pairs(SUBCLASS),
@@ -252,10 +237,9 @@ def _rule_targets(schema: Schema) -> dict[str, list]:
     }
 
 
-def _expand_atom(
-    q: ConjunctiveQuery, i: int, targets: dict[str, list], fresh: _FreshVars
-) -> list[ConjunctiveQuery]:
-    """All single-rule rewritings of atom i of q."""
+def _expand_atom(q: ConjunctiveQuery, i: int, targets: dict[str, list]) -> list[ConjunctiveQuery]:
+    """All single-rule rewritings of atom i of q.  The domain and range
+    rules name their existential variable by `fresh_var`, E1, E2, ..."""
     a = q.body[i]
     out: list[ConjunctiveQuery] = []
 
@@ -273,10 +257,10 @@ def _expand_atom(
             # trade the typing for a property occurrence
             for p, c in targets["domains"]:
                 if c == cls:
-                    out.append(replaced(TripleAtom(a.s, Const(p), fresh.next())))
+                    out.append(replaced(TripleAtom(a.s, Const(p), fresh_var("E", q))))
             for p, c in targets["ranges"]:
                 if c == cls:
-                    out.append(replaced(TripleAtom(fresh.next(), Const(p), a.s)))
+                    out.append(replaced(TripleAtom(fresh_var("E", q), Const(p), a.s)))
         else:
             # bind a class-position variable to every known class
             for c in targets["classes"]:
@@ -301,20 +285,17 @@ def reformulate(q: ConjunctiveQuery, schema: Schema) -> UnionQuery:
 
     The rewriting rules are applied atom by atom to a fixpoint, deduplicating
     by canonical form during the expansion; the final members are minimized
-    and deduplicated by canonical form (see make_union).
+    and deduplicated by canonical form (see make_union).  The existential
+    variable of a domain or range rule is the lowest E<i> that the query it
+    rewrites does not use (`fresh_var`).
     """
     targets = _rule_targets(schema)
-    avoid = {v.name for v in q.variables()} | {
-        t.name for t in q.head if isinstance(t, Var)
-    }
-    fresh = _FreshVars(avoid)
-
     seen: dict[str, ConjunctiveQuery] = {canonical_key(q): q}
     queue: list[ConjunctiveQuery] = [q]
     while queue:
         cur = queue.pop(0)
         for i in range(len(cur.body)):
-            for cand in _expand_atom(cur, i, targets, fresh):
+            for cand in _expand_atom(cur, i, targets):
                 key = canonical_key(cand)
                 if key not in seen:
                     seen[key] = cand

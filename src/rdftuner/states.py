@@ -17,7 +17,10 @@ SC, JC and VB give each view they make the same head: the replaced view's
 head terms that its atoms bind, its head constants unless the piece is the
 second of two, and then each join variable the head still lacks (the fresh
 variable of a cut, the cut variable, or the variables two pieces share).
-VF fuses only views of one canonical body form.
+The fresh variable of a cut is the lowest F1, F2, ... that the cut view
+does not use (`queries.fresh_var`), so one transition of one view makes
+views of equal heads and bodies in every state that holds it.  VF fuses only
+views of one canonical body form.
 
 States are identified up to view renaming by a signature of canonical view
 keys, which is what the search layers deduplicate on.
@@ -50,6 +53,7 @@ from .queries import (
     canonical_key,
     check_workload_query,
     connected_components,
+    fresh_var,
     is_connected,
     view_key,
 )
@@ -89,23 +93,15 @@ class Transition:
 
 
 class TransitionContext:
-    """Supplies globally fresh view names, variable names and state ids."""
+    """Supplies globally fresh view names and state ids."""
 
     def __init__(self) -> None:
         self._view_n = 0
-        self._var_n = 0
         self._uid = 0
 
     def view_name(self) -> str:
         self._view_n += 1
         return f"v{self._view_n}"
-
-    def fresh_var(self, avoid: set[str]) -> Var:
-        while True:
-            self._var_n += 1
-            name = f"F{self._var_n}"
-            if name not in avoid:
-                return Var(name)
 
     def next_uid(self) -> int:
         self._uid += 1
@@ -180,12 +176,6 @@ def _patch_rewritings(state: State, mapping: dict[str, Expr]) -> tuple[Rewriting
     return tuple(out)
 
 
-def _var_names(view: ConjunctiveQuery) -> set[str]:
-    names = {v.name for v in view.variables()}
-    names.update(t.name for t in view.head if isinstance(t, Var))
-    return names
-
-
 def _terms(atoms) -> set[Term]:
     return set().union(*[a.terms for a in atoms])
 
@@ -207,11 +197,11 @@ def _piece(ctx: TransitionContext, view: ConjunctiveQuery, body: tuple, idxs,
 
 def selection_cuts(state: State, slot: int, ctx: TransitionContext):
     view = state.views[slot]
+    f = fresh_var("F", view)
     for ai, a in enumerate(view.body):
         for pos, term in enumerate(a.terms):
             if not isinstance(term, Const):
                 continue
-            f = ctx.fresh_var(_var_names(view))
             body = view.body[:ai] + (a.replace(pos, f),) + view.body[ai + 1 :]
             new = _piece(ctx, view, body, range(len(body)), (f,))
             expr = Project(Select(Scan(new.name), f, term), view.head)
@@ -221,6 +211,7 @@ def selection_cuts(state: State, slot: int, ctx: TransitionContext):
 
 def join_cuts(state: State, slot: int, ctx: TransitionContext):
     view = state.views[slot]
+    f = fresh_var("F", view)
     atoms_of: dict[Var, set[int]] = {}
     for ai, a in enumerate(view.body):
         for v in a.variables():
@@ -231,7 +222,6 @@ def join_cuts(state: State, slot: int, ctx: TransitionContext):
                 continue
             if not (atoms_of[x] - {ai}):
                 continue  # no join edge reaches this occurrence
-            f = ctx.fresh_var(_var_names(view))
             body = view.body[:ai] + (a.replace(pos, f),) + view.body[ai + 1 :]
             comps = connected_components(body)
             label = f"JC {view.name}:n{ai + 1}.{POSITIONS[pos]}({x})"

@@ -455,7 +455,7 @@ def test_answering_writes_what_a_full_store_evaluation_gives(painter_files, tmp_
         assert rel.rows == frozenset()
 
 
-@pytest.mark.parametrize("mode", ["plain", "pre", "post"])
+@pytest.mark.parametrize("mode", ["plain", "saturate", "pre", "post"])
 def test_answer_loads_only_the_properties_its_rewriting_reads(
         painter_files, tmp_path, capsys, monkeypatch, mode):
     triples, _, schema = painter_files
@@ -479,7 +479,7 @@ def test_answer_loads_only_the_properties_its_rewriting_reads(
         loaded.clear()
         scanned = set(scan_views(expr))
         views = [v for v in cli.document_views(plan) if v.name in scanned]
-        if mode == "post":
+        if mode in ("saturate", "post"):
             views = [m for v in views for m in reasoning.reformulate(v, parse_schema(
                 GALLERY_SCHEMA)).members]
         read = {a.p.symbol for v in views for a in v.body}
@@ -711,7 +711,7 @@ def tune_in_subprocess(args: list[str]) -> int:
 
 
 def test_module_caches_carry_nothing_between_tunes(tmp_path):
-    """The key and shape caches outlive a tune, the cost memos do not: two
+    """The key caches outlive a tune, the cost memos do not: two
     tunes in one process, of one query file over two stores, each write
     the document that a fresh process writes."""
     queries = tmp_path / "q1.txt"
@@ -740,7 +740,7 @@ def test_module_caches_carry_nothing_between_tunes(tmp_path):
 def test_tune_document_counts_cache_hits(tmp_path):
     """The caches field: each memo of the estimator, and the process-wide
     key caches over the search.  On a star workload, rewritings recur under
-    fresh names, so the memo by tree shape has hits."""
+    fresh view names, so the memo by tree shape has hits."""
     queries, triples, out = tmp_path / "q.txt", tmp_path / "t.txt", tmp_path / "doc.json"
     assert main(["gen-workload", "--shape", "star", "--commonality", "medium", "--atoms", "4",
                  "--constants", "1", "--out", str(queries), "--triples-out", str(triples)]) == 0
@@ -749,7 +749,7 @@ def test_tune_document_counts_cache_hits(tmp_path):
     caches = json.loads(out.read_text())["caches"]
     assert set(caches["estimator"]) == {"rows", "view_terms", "rewriting_by_tree",
                                         "rewriting_by_shape"}
-    assert set(caches["process"]) == {"shape", "view_key_shape", "body_form_shape"}
+    assert set(caches["process"]) == {"view_key", "body_form", "canonical_key"}
     for counts in [*caches["estimator"].values(), *caches["process"].values()]:
         assert set(counts) == {"hits", "misses"} and min(counts.values()) >= 0
     by_tree, by_shape = caches["estimator"]["rewriting_by_tree"], caches["estimator"]["rewriting_by_shape"]

@@ -8,6 +8,7 @@ out by hand from the product-over-divisors rule and frozen here.
 
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +404,32 @@ def test_a_rewriting_handed_on_scans_the_same_views(shape, avf, seed, rng):
     assert shared
 
 
+@pytest.mark.parametrize("shape", ["star", "chain", "mixed"])
+@pytest.mark.parametrize("avf", [False, True], ids=["plain", "avf"])
+@settings(max_examples=6)
+@given(seed=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_every_rewriting_walks_to_its_querys_body(shape, avf, seed, rng):
+    """Costs cannot depend on the names transitions invent: the selection
+    or rename above each scan of a cut view eliminates its fresh variable,
+    so the walk of every rewriting derives at its root a body isomorphic to
+    its query's, with no F<i> in it, and the query's head as columns."""
+    queries, store = synthetic_workload(seed, shape=shape)
+    by_name = {q.name: q for q in queries}
+    est = Estimator(collect_statistics(queries, store))
+    ctx = TransitionContext()
+    for _, state in walk(initial_state(queries, ctx), ctx, rng, 8, avf):
+        for held in [state, *(tr.state for tr in iter_transitions(state, ctx))]:
+            views = {v.name: v for v in held.views}
+            for r in held.rewritings:
+                node, _, _ = est._walk(r.expr, views)
+                query = by_name[r.query_name]
+                assert canonical_body_key(ConjunctiveQuery("", (), node.body)) == (
+                    canonical_body_key(query))
+                assert not [t for a in node.body for t in a.variables()
+                            if re.fullmatch(r"F\d+", t.name)]
+                assert node.columns == query.head
+
+
 def test_the_rewriting_memo_lets_dropped_states_go():
     queries, store = synthetic_workload(0)
     est = Estimator(collect_statistics(queries, store))
@@ -455,9 +482,10 @@ def renamed_state(state: State) -> State:
 @settings(max_examples=12)
 @given(st.integers(0, 3), st.booleans(), st.randoms(use_true_random=False))
 def test_a_renamed_state_costs_what_the_original_does(seed, avf, rng):
-    """The view terms and rewriting costs are memoized by shape: a state
-    renamed throughout gets, from an estimator that costed the original,
-    the very cost a fresh estimator gives the original."""
+    """The view terms are memoized by head and body and the rewriting costs
+    by tree shape, both with the terms as they are: a state renamed
+    throughout gets, from an estimator that costed the original, the very
+    cost a fresh estimator gives the original."""
     queries, store = synthetic_workload(seed)
     stats = collect_statistics(queries, store)
     est = Estimator(stats)
@@ -486,8 +514,8 @@ def test_a_view_changed_under_its_name_and_head_is_costed_again(est):
 
 def test_a_variable_two_scanned_views_share_keeps_their_trees_apart(est):
     """Costing joins the bodies of the views a tree scans by their
-    variables, so a tree's shape numbers variables across the whole tree:
-    two joins whose views share a variable or not cost apart."""
+    variables, so a tree's shape keeps each scanned view's variables as
+    they are: two joins whose views share a variable or not cost apart."""
     left = ConjunctiveQuery("v1", (X, Y), (TripleAtom(X, Const("p"), Y),))
     joined = ConjunctiveQuery("v2", (Y, Z), (TripleAtom(Y, Const("q"), Z),))
     apart = ConjunctiveQuery("v2", (W, Z), (TripleAtom(W, Const("q"), Z),))

@@ -131,6 +131,47 @@ def test_unnamed_definition_scan(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# reported caches
+
+
+def lru_cached_functions(tree: ast.Module) -> list[str]:
+    """The functions of a module that `functools.lru_cache` or
+    `functools.cache` decorates, by either name."""
+
+    def is_cache(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name in ("lru_cache", "cache")
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(is_cache, node.decorator_list))]
+
+
+def test_key_cache_info_reports_every_lru_cache():
+    """The tune document's `caches.process` comes from
+    `queries.key_cache_info`, which must name every cache of the package."""
+    tree = ast.parse((PACKAGE_DIR / "queries.py").read_text(encoding="utf-8"))
+    info = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "key_cache_info")
+    reported = {n.id for n in ast.walk(info) if isinstance(n, ast.Name)}
+    cached = [(path.name, name) for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for name in lru_cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert cached
+    assert [(path, name) for path, name in cached
+            if path != "queries.py" or name not in reported] == []
+
+
+def test_lru_cached_function_scan():
+    source = ("import functools\nfrom functools import lru_cache\n\n"
+              "@lru_cache(maxsize=2)\ndef a(x):\n    return x\n\n"
+              "@functools.lru_cache\ndef b(x):\n    return x\n\n"
+              "@functools.cache\ndef c(x):\n    return x\n\n"
+              "@staticmethod\ndef d(x):\n    return x\n")
+    assert lru_cached_functions(ast.parse(source)) == ["a", "b", "c"]
+
+
+# ---------------------------------------------------------------------------
 # the layers each command loads
 
 

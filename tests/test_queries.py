@@ -18,7 +18,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
-from rdftuner import queries as queries_module
 from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp
 from rdftuner.queries import (
     ConjunctiveQuery,
@@ -39,7 +38,6 @@ from rdftuner.queries import (
     make_union,
     minimize,
     parse_queries,
-    shape,
     view_key,
 )
 from rdftuner.reasoning import SUBCLASS, Schema
@@ -471,32 +469,6 @@ def test_keys_ignore_the_names_transitions_invent(pair):
     assert view_key(other) == view_key(q)
     assert canonical_key(other) == canonical_key(q)
     assert canonical_body_key(other) == canonical_body_key(q)
-
-
-@given(renamed_copies())
-def test_a_renamed_copy_is_not_canonicalised_again(pair):
-    """View keys and body forms are cached by shape: once a query has its
-    keys, a renamed copy gets them without a canonical-form search."""
-    q, other = pair
-    keys = view_key(q), canonical_body_key(q)
-    calls = []
-    canonical = queries_module._canonical
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(queries_module, "_canonical", lambda *a: calls.append(a) or canonical(*a))
-        assert (view_key(other), canonical_body_key(other)) == keys
-        assert bodies_isomorphic(q, other)
-    assert calls == []
-
-
-def test_shapes_number_variables_by_first_occurrence_head_first():
-    x, y, z = Var("X"), Var("Y"), Var("F7")
-    body = (TripleAtom(z, Const("p"), x), TripleAtom(x, y, Const("c")))
-    head, renamed = shape((y, x), body)
-    v0, v1, v2 = Var("_0"), Var("_1"), Var("_2")
-    assert head == (v0, v1)
-    assert renamed == (TripleAtom(v2, Const("p"), v1), TripleAtom(v1, v0, Const("c")))
-    assert shape((y, x), body) is shape((y, x), body)
-    assert shape((x, y), body) != shape((y, x), body)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,26 @@ def test_domain_rule_introduces_existential_variable():
         assert m.head == (X1,)
 
 
+def test_domain_and_range_rules_name_their_variable_E1():
+    """Each domain or range rule names its existential variable the lowest
+    E<i> that the query it rewrites does not use: E1 in every member here,
+    and E2 where the query holds E1 already."""
+    schema = parse_schema("p rdfs:domain c\nr rdfs:range c\n")
+    e1, e2 = Var("E1"), Var("E2")
+    union = reformulate(atom_q("q", (X1,), TripleAtom(X1, TYPE, Const("c"))), schema)
+    assert {m.body for m in union.members} == {
+        (TripleAtom(X1, TYPE, Const("c")),),
+        (TripleAtom(X1, Const("p"), e1),),
+        (TripleAtom(e1, Const("r"), X1),),
+    }
+    union = reformulate(atom_q("q", (e1,), TripleAtom(e1, TYPE, Const("c"))), schema)
+    assert {m.body for m in union.members} == {
+        (TripleAtom(e1, TYPE, Const("c")),),
+        (TripleAtom(e1, Const("p"), e2),),
+        (TripleAtom(e2, Const("r"), e1),),
+    }
+
+
 def test_members_are_pairwise_inequivalent(gallery_schema):
     union = reformulate(
         atom_q("q", (X1, X2), TripleAtom(X1, X2, Const("picture"))), gallery_schema

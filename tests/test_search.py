@@ -5,8 +5,15 @@ reachable states) and on the best cost in it; they may only differ in how
 much work they spend getting there.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rdftuner
 from conftest import painter_query, PAINTER_TRIPLES
 from rdftuner.cost import Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var
@@ -332,6 +339,47 @@ def test_avf_best_state_is_fusion_closed():
     fused, _ = run([painter_query()], PAINTER, strategy="dfs", avf=True)
     probe = TransitionContext()
     assert list(iter_transitions(fused.best, probe, ("VF",))) == []
+
+
+# ---------------------------------------------------------------------------
+# the variables a search interns
+
+
+# runs in a fresh interpreter, so the table of variables holds only the
+# query's and those the search names
+FRESH_VARIABLES_PROBE = r"""
+import json, re
+from conftest import PAINTER_TRIPLES, painter_query
+from rdftuner import queries
+from rdftuner.cost import Estimator
+from rdftuner.search import SearchConfig, run_search
+from rdftuner.states import TransitionContext, initial_state
+from rdftuner.stats import collect_statistics
+from rdftuner.store import load_triples
+
+store, q = load_triples(PAINTER_TRIPLES), painter_query()
+ctx = TransitionContext()
+result = run_search(initial_state([q], ctx), Estimator(collect_statistics([q], store)), ctx,
+                    SearchConfig(strategy="exnaive", avf=True, stop_var=True))
+print(json.dumps({"created": result.created, "timed_out": result.timed_out,
+                  "fresh": sorted(int(n[1:]) for n in queries._VARS if re.fullmatch(r"F\d+", n))}))
+"""
+
+
+def test_a_drained_search_interns_few_fresh_variables():
+    """A cut names its variable the lowest F<i> its view does not use, and
+    a view of n atoms uses at most 3n variables, so a drained exhaustive
+    search over the 3-atom painter query interns no F<i> past F10, however
+    many states it makes."""
+    path = os.pathsep.join([str(Path(rdftuner.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-c", FRESH_VARIABLES_PROBE],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["created"] > 100 and not report["timed_out"]
+    assert report["fresh"] and max(report["fresh"]) <= 3 * len(painter_query().body) + 1
 
 
 # ---------------------------------------------------------------------------

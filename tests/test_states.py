@@ -6,12 +6,14 @@ materialized views must return exactly the answers of the query on the
 triple store.  Every test that builds states runs it.
 """
 
+import itertools
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import painter_query, random_query, random_schema, random_store
 from rdftuner.algebra import (
@@ -33,7 +35,6 @@ from rdftuner.queries import (
     bodies_isomorphic,
     canonical_body_key,
     canonical_key,
-    shape,
     view_key,
 )
 from rdftuner.reasoning import parse_schema
@@ -326,14 +327,14 @@ def test_view_and_body_keys_ignore_the_view_name():
 
 
 def test_key_caches_pin_no_query():
-    """The key and shape caches hold heads and bodies, never the query
+    """The key caches hold heads and bodies, never the query
     objects, so a view no state holds any more can be freed."""
     q = ConjunctiveQuery("pinned", (Var("A"), Var("B")),
                          (TripleAtom(Var("A"), Const("pin"), Var("B")),))
     twin = ConjunctiveQuery("twin", (Var("C"),), (TripleAtom(Var("C"), Const("pin"), Var("D")),))
     state = State((q, twin), (Rewriting("a", Scan("pinned")), Rewriting("b", Scan("twin"))), 1)
     before = sys.getrefcount(q)
-    view_key(q), canonical_key(q), canonical_body_key(q), shape(q.head, q.body)
+    view_key(q), canonical_key(q), canonical_body_key(q)
     renamed = ConjunctiveQuery("renamed", (Var("E"), Var("G")),
                                (TripleAtom(Var("E"), Const("pin"), Var("G")),))
     view_key(renamed), canonical_body_key(renamed)
@@ -531,6 +532,55 @@ def test_fusion_candidates_are_the_isomorphic_pairs(shape_name, avf):
                     state = fused.state
             walks += 1
     assert walks == 8
+
+
+# ---------------------------------------------------------------------------
+# the names transitions invent
+
+
+def lowest_free_f(view):
+    """The lowest F<i> that no term of the view's head or body is."""
+    used = set(view.head) | {t for a in view.body for t in a.terms}
+    return next(Var(f"F{i}") for i in itertools.count(1) if Var(f"F{i}") not in used)
+
+
+@pytest.mark.parametrize("avf", [False, True], ids=["plain", "avf"])
+@pytest.mark.parametrize("shape_name", ["star", "chain", "mixed"])
+@settings(max_examples=8)
+@given(seed=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_a_transition_of_one_view_builds_equal_views_in_every_state(shape_name, avf, seed, rng):
+    """SC, JC and VB applied to one view give views of equal heads and
+    bodies in every state that holds the view, and the one variable a cut
+    invents is the lowest F<i> the cut view does not use."""
+    spec = WorkloadSpec(3, 3, shape_name, "medium", 1, seed)
+    ctx = TransitionContext()
+    state = initial_state(generate_workload(spec, make_synthetic_store(300, seed=2)), ctx)
+    built: dict[tuple, list] = {}
+    repeats = 0
+    for _step in range(5):
+        trs = list(iter_transitions(state, ctx))
+        held = {id(v) for v in state.views}
+        for tr in trs:
+            if tr.kind == "VF":
+                continue
+            name, _, where = tr.label[len(tr.kind) + 1:].partition(":")
+            view = next(v for v in state.views if v.name == name)
+            new = [v for v in tr.state.views if id(v) not in held]
+            invented = {t for v in new for a in v.body for t in a.terms
+                        if isinstance(t, Var)} - set(view.variables())
+            assert invented == (set() if tr.kind == "VB" else {lowest_free_f(view)}), tr.label
+            key, terms = (view.head, view.body, tr.kind, where), [(v.head, v.body) for v in new]
+            repeats += key in built
+            assert built.setdefault(key, terms) == terms, tr.label
+        if not trs:
+            break
+        state = rng.choice(trs).state
+        while avf:
+            fused = next(iter_transitions(state, ctx, ("VF",)), None)
+            if fused is None:
+                break
+            state = fused.state
+    assert repeats
 
 
 def test_pre_mode_walk_preserves_entailed_answers(gallery_schema):

@@ -265,11 +265,21 @@ def load_document(path: str) -> dict:
     # parse what answer and materialize read, so a malformed part is an
     # input error here and not a failure halfway through a command
     try:
-        document_views(doc)
+        views = [v.name for v in document_views(doc)]
+        queries = [r["query"] for r in doc["rewritings"]]
         document_plans(doc)
         document_schema(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed tune document: {type(exc).__name__}: {exc}") from exc
+    # materialize writes each view to <out-dir>/<name>.tsv, and the views
+    # and plans are looked up by name
+    for name in views:
+        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise InputError(f"{path}: view name {name!r} is not a file name")
+    for what, names in (("view", views), ("rewriting of query", queries)):
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise InputError(f"{path}: more than one {what} {twice[0]!r}")
     return doc
 
 

@@ -95,15 +95,6 @@ def _sorted_product(factors: list[float]) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class _Node:
-    """Walk result for one operator: derived body, columns, cardinality."""
-
-    body: tuple[TripleAtom, ...] | None
-    columns: tuple[Term, ...]
-    card: float
-
-
 def _subst_body(body: tuple[TripleAtom, ...], mapping: dict[Var, Term]):
     def sub(t: Term) -> Term:
         return mapping.get(t, t) if isinstance(t, Var) else t
@@ -195,58 +186,54 @@ class Estimator:
 
     # -- operator trees ---------------------------------------------------
 
-    def _walk(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple[_Node, float, float]:
-        """Returns (node, io, cpu) for one subtree."""
+    def _walk(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
+        """Returns (body, columns, rows, io, cpu) for one subtree: its
+        derived body (None over a union), its columns, its cardinality, and
+        the io and cpu of computing it."""
         if isinstance(expr, Scan):
             view = views[expr.view]
             rows = self.view_rows(view)
-            return _Node(view.body, view.head, rows), rows, 0.0
+            return view.body, view.head, rows, rows, 0.0
 
         if isinstance(expr, Select):
-            node, io, cpu = self._walk(expr.child, views)
-            if node.body is None:
+            body, cols, rows, io, cpu = self._walk(expr.child, views)
+            if body is None:
                 raise QueryError("selection over a union is unsupported")
-            bound = _subst_body(node.body, {expr.left: expr.right})  # type: ignore[dict-item]
-            card = self.body_rows(bound)
-            return _Node(bound, node.columns, card), io, cpu + node.card
+            bound = _subst_body(body, {expr.left: expr.right})  # type: ignore[dict-item]
+            return bound, cols, self.body_rows(bound), io, cpu + rows
 
         if isinstance(expr, Project):
-            node, io, cpu = self._walk(expr.child, views)
-            return _Node(node.body, expr.columns, node.card), io, cpu
+            body, _, rows, io, cpu = self._walk(expr.child, views)
+            return body, expr.columns, rows, io, cpu
 
         if isinstance(expr, Rename):
-            node, io, cpu = self._walk(expr.child, views)
+            body, cols, rows, io, cpu = self._walk(expr.child, views)
             mapping: dict[Var, Term] = dict(expr.mapping)
-            body = None if node.body is None else _subst_body(node.body, mapping)
-            cols = tuple(
-                mapping.get(t, t) if isinstance(t, Var) else t for t in node.columns
-            )
-            return _Node(body, cols, node.card), io, cpu
+            if body is not None:
+                body = _subst_body(body, mapping)
+            cols = tuple(mapping.get(t, t) if isinstance(t, Var) else t for t in cols)
+            return body, cols, rows, io, cpu
 
         if isinstance(expr, NatJoin):
-            lnode, lio, lcpu = self._walk(expr.left, views)
-            rnode, rio, rcpu = self._walk(expr.right, views)
-            if lnode.body is None or rnode.body is None:
+            lbody, lcols, lrows, lio, lcpu = self._walk(expr.left, views)
+            rbody, rcols, rrows, rio, rcpu = self._walk(expr.right, views)
+            if lbody is None or rbody is None:
                 raise QueryError("join over a union is unsupported")
-            body = _merge_bodies(lnode.body, rnode.body)
+            body = _merge_bodies(lbody, rbody)
             card = self.body_rows(body)
-            shared = {c for c in lnode.columns if c in rnode.columns}
-            cols = lnode.columns + tuple(
-                c for c in rnode.columns if c not in shared
-            )
-            cpu = lcpu + rcpu + lnode.card + rnode.card + card
-            return _Node(body, cols, card), lio + rio, cpu
+            shared = {c for c in lcols if c in rcols}
+            cols = lcols + tuple(c for c in rcols if c not in shared)
+            cpu = lcpu + rcpu + lrows + rrows + card
+            return body, cols, card, lio + rio, cpu
 
         # union: members are independent plans over disjoint scans
         parts = [self._walk(c, views) for c in expr.children]
-        card = sum(p[0].card for p in parts)
-        io = sum(p[1] for p in parts)
-        cpu = sum(p[2] for p in parts) + sum(p[0].card for p in parts)
-        cols = parts[0][0].columns
-        return _Node(None, cols, card), io, cpu
+        card = sum(p[2] for p in parts)
+        io = sum(p[3] for p in parts)
+        return None, parts[0][1], card, io, sum(p[4] for p in parts) + card
 
     def rewriting_cost(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> float:
-        _, io, cpu = self._walk(expr, views)
+        _, _, _, io, cpu = self._walk(expr, views)
         return self.weights.c1 * io + self.weights.c2 * cpu
 
     # -- state cost -------------------------------------------------------

@@ -10,7 +10,8 @@ mentions the replaced view symbol:
       head variable; the view either survives with a selection on the two
       columns or splits into two views, which the rewriting joins back
       naturally once it renames the fresh variable to the cut one.
-  VB  break a view into two overlapping connected pieces, rejoined naturally.
+  VB  break a view into two connected pieces that cover it, each holding an
+      atom the other lacks (they may share atoms), rejoined naturally.
   VF  fuse two views with isomorphic bodies into one serving both roles.
 
 SC, JC and VB give each view they make the same head: the replaced view's
@@ -160,20 +161,20 @@ def initial_state(
 # transition helpers
 
 
-def _patched(state: State, ctx: TransitionContext, slot: int,
-             replacement: list[ConjunctiveQuery], mapping: dict[str, Expr]) -> State:
-    views = state.views[:slot] + tuple(replacement) + state.views[slot + 1 :]
-    return State(views, _patch_rewritings(state, mapping), ctx.next_uid())
-
-
-def _patch_rewritings(state: State, mapping: dict[str, Expr]) -> tuple[Rewriting, ...]:
-    """The state's rewritings with scans replaced; a rewriting that scans
-    no replaced view is kept as the same object, tree and all."""
-    out = []
+def _patched(state: State, ctx: TransitionContext,
+             replaced: dict[int, list[ConjunctiveQuery]], mapping: dict[str, Expr]) -> State:
+    """The child whose view at each slot of `replaced` gives way to the
+    listed views, and whose rewritings have their scans replaced by
+    `mapping`; a rewriting that scans no replaced view is kept as the same
+    object, tree and all."""
+    views = state.views
+    for slot in sorted(replaced, reverse=True):
+        views = views[:slot] + tuple(replaced[slot]) + views[slot + 1 :]
+    rewritings = []
     for r in state.rewritings:
         expr = replace_scans(r.expr, mapping)
-        out.append(r if expr is r.expr else Rewriting(r.query_name, expr))
-    return tuple(out)
+        rewritings.append(r if expr is r.expr else Rewriting(r.query_name, expr))
+    return State(views, tuple(rewritings), ctx.next_uid())
 
 
 def _terms(atoms) -> set[Term]:
@@ -206,29 +207,25 @@ def selection_cuts(state: State, slot: int, ctx: TransitionContext):
             new = _piece(ctx, view, body, range(len(body)), (f,))
             expr = Project(Select(Scan(new.name), f, term), view.head)
             label = f"SC {view.name}:n{ai + 1}.{POSITIONS[pos]}={term.symbol}"
-            yield label, _patched(state, ctx, slot, [new], {view.name: expr})
+            yield label, _patched(state, ctx, {slot: [new]}, {view.name: expr})
 
 
 def join_cuts(state: State, slot: int, ctx: TransitionContext):
     view = state.views[slot]
     f = fresh_var("F", view)
-    atoms_of: dict[Var, set[int]] = {}
     for ai, a in enumerate(view.body):
-        for v in a.variables():
-            atoms_of.setdefault(v, set()).add(ai)
-    for ai, a in enumerate(view.body):
+        others = view.body[:ai] + view.body[ai + 1 :]
         for pos, x in enumerate(a.terms):
-            if not isinstance(x, Var):
+            # a join edge reaches this occurrence when another atom holds x
+            if not isinstance(x, Var) or not any(x in b.terms for b in others):
                 continue
-            if not (atoms_of[x] - {ai}):
-                continue  # no join edge reaches this occurrence
             body = view.body[:ai] + (a.replace(pos, f),) + view.body[ai + 1 :]
             comps = connected_components(body)
             label = f"JC {view.name}:n{ai + 1}.{POSITIONS[pos]}({x})"
             if len(comps) == 1:
                 new = _piece(ctx, view, body, range(len(body)), (x, f))
                 expr = Project(Select(Scan(new.name), f, x), view.head)
-                yield label, _patched(state, ctx, slot, [new], {view.name: expr})
+                yield label, _patched(state, ctx, {slot: [new]}, {view.name: expr})
             else:
                 comp_f = next(c for c in comps if ai in c)
                 comp_x = next(c for c in comps if ai not in c)
@@ -238,7 +235,7 @@ def join_cuts(state: State, slot: int, ctx: TransitionContext):
                     NatJoin(Rename(Scan(new_f.name), ((f, x),)), Scan(new_x.name)),
                     view.head,
                 )
-                yield label, _patched(state, ctx, slot, [new_f, new_x], {view.name: expr})
+                yield label, _patched(state, ctx, {slot: [new_f, new_x]}, {view.name: expr})
 
 
 def view_breaks(state: State, slot: int, ctx: TransitionContext):
@@ -248,34 +245,30 @@ def view_breaks(state: State, slot: int, ctx: TransitionContext):
     if n <= 2:
         return
     order = view.variables()
+    # the connected proper atom subsets, by size and then index order
+    pieces = []
     for k in range(1, n):
-        for n1 in itertools.combinations(range(n), k):
-            atoms1 = tuple([body[i] for i in n1])
-            if not is_connected(atoms1):
+        for idxs in itertools.combinations(range(n), k):
+            atoms = tuple([body[i] for i in idxs])
+            if is_connected(atoms):
+                pieces.append((idxs, sum(1 << i for i in idxs), _terms(atoms)))
+    # every pair that covers the body is a break: two proper subsets that
+    # cover it cannot hold each other
+    full = (1 << n) - 1
+    for p, (n1, mask1, terms1) in enumerate(pieces):
+        for n2, mask2, terms2 in pieces[p + 1 :]:
+            if mask1 | mask2 != full:
                 continue
-            terms1 = _terms(atoms1)
-            rest = set(range(n)) - set(n1)
-            for osize in range(0, k):
-                for overlap in itertools.combinations(n1, osize):
-                    n2 = tuple(sorted(rest.union(overlap)))
-                    # each pair of pieces comes in both orientations: keep
-                    # the one met first
-                    if (len(n2), n2) < (k, n1):
-                        continue
-                    atoms2 = tuple([body[i] for i in n2])
-                    if not is_connected(atoms2):
-                        continue
-                    terms2 = _terms(atoms2)
-                    shared = [v for v in order if v in terms1 and v in terms2]
-                    v1 = _piece(ctx, view, body, n1, shared)
-                    v2 = _piece(ctx, view, body, n2, shared, constants=False)
-                    expr = Project(NatJoin(Scan(v1.name), Scan(v2.name)), view.head)
-                    label = (
-                        f"VB {view.name}:"
-                        f"{{{','.join(f'n{i + 1}' for i in n1)}}}"
-                        f"|{{{','.join(f'n{i + 1}' for i in n2)}}}"
-                    )
-                    yield label, _patched(state, ctx, slot, [v1, v2], {view.name: expr})
+            shared = [v for v in order if v in terms1 and v in terms2]
+            v1 = _piece(ctx, view, body, n1, shared)
+            v2 = _piece(ctx, view, body, n2, shared, constants=False)
+            expr = Project(NatJoin(Scan(v1.name), Scan(v2.name)), view.head)
+            label = (
+                f"VB {view.name}:"
+                f"{{{','.join(f'n{i + 1}' for i in n1)}}}"
+                f"|{{{','.join(f'n{i + 1}' for i in n2)}}}"
+            )
+            yield label, _patched(state, ctx, {slot: [v1, v2]}, {view.name: expr})
 
 
 def view_fusions(state: State, ctx: TransitionContext):
@@ -325,17 +318,11 @@ def view_fusions(state: State, ctx: TransitionContext):
             )
             if renamed_cols != v2.head:
                 expr2 = Project(expr2, v2.head)
-            views = (
-                state.views[:i]
-                + (new,)
-                + state.views[i + 1 : j]
-                + state.views[j + 1 :]
-            )
-            rewritings = _patch_rewritings(state, {v1.name: expr1, v2.name: expr2})
             label = f"VF {v1.name}+{v2.name}"
             if n:
                 label += f"#{n + 1}"
-            yield label, State(views, rewritings, ctx.next_uid())
+            yield label, _patched(state, ctx, {i: [new], j: []},
+                                  {v1.name: expr1, v2.name: expr2})
 
 
 # ---------------------------------------------------------------------------

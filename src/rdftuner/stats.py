@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from operator import itemgetter
 
 from .queries import ConjunctiveQuery, Const, TripleAtom, Var
@@ -53,33 +52,20 @@ def pattern_atom(key: PatternKey) -> TripleAtom:
     return TripleAtom(terms[0], terms[1], terms[2])
 
 
-# the set partitions of an atom's three positions
-_POSITION_PARTITIONS = (
-    ((0, 1, 2),),
-    ((0,), (1, 2)),
-    ((0, 1), (2,)),
-    ((0, 2), (1,)),
-    ((0,), (1,), (2,)),
-)
-
-
 def atom_patterns(a: TripleAtom) -> set[PatternKey]:
-    """Every pattern a selection or join cut can reach from this atom: for
-    each set partition of the three positions whose blocks of two or more
-    positions each hold one variable of the atom, each choice of the
-    singleton constants that stay, the others becoming fresh variables."""
-    terms = a.terms
+    """Every pattern a chain of selection and join cuts can reach from this
+    atom: the closure of its pattern under making one position a fresh
+    variable, which a selection cut does to a constant and a join cut to
+    one occurrence of a variable."""
     out: set[PatternKey] = set()
-    for blocks in _POSITION_PARTITIONS:
-        if any(isinstance(terms[b[0]], Const) or len({terms[i] for i in b}) > 1
-               for b in blocks if len(b) > 1):
-            continue
-        block_of = {i: n for n, b in enumerate(blocks) for i in b}
-        constants = [b[0] for b in blocks if isinstance(terms[b[0]], Const)]
-        for k in range(len(constants) + 1):
-            for kept in combinations(constants, k):
-                shape = [terms[i] if i in kept else Var(f"_{block_of[i]}") for i in range(3)]
-                out.add(pattern_of(TripleAtom(*shape)))
+    todo = [pattern_of(a)]
+    while todo:
+        key = todo.pop()
+        if key not in out:
+            out.add(key)
+            # pattern_atom names its variables x0 to x2, so x3 is fresh
+            probe = pattern_atom(key)
+            todo += [pattern_of(probe.replace(i, Var("x3"))) for i in range(3)]
     return out
 
 

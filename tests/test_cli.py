@@ -319,6 +319,58 @@ def test_malformed_documents_are_input_errors(tuned_doc, tmp_path, capsys, comma
     assert "Traceback" not in err
 
 
+def name_view(name):
+    def rename(doc):
+        old = doc["views"][0]["name"]
+        doc["views"][0]["name"] = name
+        for r in doc["rewritings"]:
+            r["expr"] = json.loads(json.dumps(r["expr"]).replace(
+                json.dumps(old), json.dumps(name)))
+    return rename
+
+
+def repeat_view(doc):
+    doc["views"].append(dict(doc["views"][0]))
+
+
+def repeat_rewriting(doc):
+    doc["rewritings"].append(dict(doc["rewritings"][0]))
+
+
+@pytest.mark.parametrize("command", ["answer", "materialize"])
+@pytest.mark.parametrize("break_doc, error", [
+    (name_view("../evil"), "view name '../evil' is not a file name"),
+    (name_view(""), "view name '' is not a file name"),
+    (name_view("."), "view name '.' is not a file name"),
+    (name_view(".."), "view name '..' is not a file name"),
+    (name_view("a/b"), "view name 'a/b' is not a file name"),
+    (name_view("a\\b"), "view name 'a\\\\b' is not a file name"),
+    (name_view("a\0b"), "view name 'a\\x00b' is not a file name"),
+    (repeat_view, "more than one view 'v"),
+    (repeat_rewriting, "more than one rewriting of query 'q1'"),
+], ids=["parent-dir", "empty", "dot", "dot-dot", "slash", "backslash", "nul", "two-views-one-name",
+        "two-rewritings-one-query"])
+def test_view_names_that_are_no_file_names_or_repeat_are_input_errors(
+        tuned_doc, tmp_path, capsys, command, break_doc, error):
+    """A view name becomes a file name under --out-dir, and views and
+    rewritings are looked up by name: the document is refused, with exit
+    2, before anything is written."""
+    out, triples = tuned_doc
+    doc = json.loads(out.read_text())
+    break_doc(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    views = tmp_path / "out" / "views"
+    answer = tmp_path / "q1.tsv"
+    extra = (["--query", "q1", "--out", str(answer)] if command == "answer"
+             else ["--out-dir", str(views)])
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--plan", str(broken), "--triples", str(triples)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: {error}"), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture
 def post_doc(painter_files, tmp_path, capsys):
     triples, queries, schema = painter_files
@@ -708,6 +760,14 @@ def tune_in_subprocess(args: list[str]) -> int:
     proc = subprocess.run([sys.executable, "-m", "rdftuner.cli", "tune", *args],
                           env=env, capture_output=True, text=True, timeout=60)
     return proc.returncode
+
+
+def test_python_m_rdftuner_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rdftuner", "tune", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--max-states" in proc.stdout
 
 
 def test_module_caches_carry_nothing_between_tunes(tmp_path):

@@ -278,9 +278,9 @@ def test_a_join_cut_under_a_view_break_joins_back_to_the_view(est):
         joined = set(vb.state.views[0].head) & set(vb.state.views[1].head)
         for jc in iter_transitions(vb.state, ctx, kinds=("JC",)):
             views = {v.name: v for v in jc.state.views}
-            node, _, _ = est._walk(jc.state.rewritings[0].expr, views)
-            assert canonical_body_key(ConjunctiveQuery("", (), node.body)) == form, jc.label
-            assert node.card == rows, jc.label
+            body, _, card, _, _ = est._walk(jc.state.rewritings[0].expr, views)
+            assert canonical_body_key(ConjunctiveQuery("", (), body)) == form, jc.label
+            assert card == rows, jc.label
             cut = Var(jc.label[jc.label.index("(") + 1 : -1])
             splits += len(views) == 3 and cut in joined
     assert splits
@@ -421,13 +421,13 @@ def test_every_rewriting_walks_to_its_querys_body(shape, avf, seed, rng):
         for held in [state, *(tr.state for tr in iter_transitions(state, ctx))]:
             views = {v.name: v for v in held.views}
             for r in held.rewritings:
-                node, _, _ = est._walk(r.expr, views)
+                body, columns, _, _, _ = est._walk(r.expr, views)
                 query = by_name[r.query_name]
-                assert canonical_body_key(ConjunctiveQuery("", (), node.body)) == (
+                assert canonical_body_key(ConjunctiveQuery("", (), body)) == (
                     canonical_body_key(query))
-                assert not [t for a in node.body for t in a.variables()
+                assert not [t for a in body for t in a.variables()
                             if re.fullmatch(r"F\d+", t.name)]
-                assert node.columns == query.head
+                assert columns == query.head
 
 
 def test_the_rewriting_memo_lets_dropped_states_go():

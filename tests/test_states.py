@@ -35,6 +35,7 @@ from rdftuner.queries import (
     bodies_isomorphic,
     canonical_body_key,
     canonical_key,
+    is_connected,
     view_key,
 )
 from rdftuner.reasoning import parse_schema
@@ -532,6 +533,62 @@ def test_fusion_candidates_are_the_isomorphic_pairs(shape_name, avf):
                     state = fused.state
             walks += 1
     assert walks == 8
+
+
+def random_connected_body(rng, n_atoms):
+    """A connected body of distinct atoms over few variables, so variables
+    repeat within and across atoms, with constants in any position but
+    never three in one atom."""
+    variables = [Var(f"X{i}") for i in range(4)]
+    constants = [Const(c) for c in ("c0", "c1", "p0", "p1")]
+    while True:
+        atoms: list[TripleAtom] = []
+        while len(atoms) < n_atoms:
+            terms = [rng.choice(variables) if rng.random() < 0.65 else rng.choice(constants)
+                     for _ in range(3)]
+            a = TripleAtom(*terms)
+            if a.n_constants() < 3 and a not in atoms:
+                atoms.append(a)
+        if is_connected(tuple(atoms)):
+            return tuple(atoms)
+
+
+def test_view_breaks_are_the_covering_pairs_of_connected_pieces():
+    """The VB transitions of a one-view state are exactly the pairs of
+    connected atom subsets that cover the body with neither holding the
+    other, each pair once, its first piece before its second in (size,
+    index) order, pairs in that order too, and each label naming the
+    pieces whose atoms the child's two views hold."""
+    rng = random.Random(20)
+    breaks = 0
+    for n_atoms in range(3, 9):
+        for _ in range(10 if n_atoms < 8 else 4):
+            body = random_connected_body(rng, n_atoms)
+            variables = list(dict.fromkeys(v for a in body for v in a.variables()))
+            head = tuple(rng.sample(variables, rng.randint(1, len(variables))))
+            constants = [t for a in body for t in a.terms if isinstance(t, Const)]
+            if constants and rng.random() < 0.3:
+                head += (constants[0],)
+            ctx = TransitionContext()
+            state = initial_state([ConjunctiveQuery("q", head, body)], ctx)
+            connected = [idxs for k in range(1, n_atoms + 1)
+                         for idxs in itertools.combinations(range(n_atoms), k)
+                         if is_connected(tuple(body[i] for i in idxs))]
+            expected = [(n1, n2) for n1, n2 in itertools.combinations(connected, 2)
+                        if set(n1) | set(n2) == set(range(n_atoms))
+                        and not set(n1) <= set(n2) and not set(n2) <= set(n1)]
+            got = []
+            for tr in iter_transitions(state, ctx, ("VB",)):
+                pieces = tr.label.partition(":")[2].split("|")
+                n1, n2 = (tuple(int(i[1:]) - 1 for i in p.strip("{}").split(","))
+                          for p in pieces)
+                assert tr.label == f"VB v1:{pieces[0]}|{pieces[1]}"
+                assert [v.body for v in tr.state.views] == [
+                    tuple(body[i] for i in n1), tuple(body[i] for i in n2)], tr.label
+                got.append((n1, n2))
+            assert got == expected, body
+            breaks += len(got)
+    assert breaks > 10000
 
 
 # ---------------------------------------------------------------------------

@@ -340,19 +340,19 @@ def _mappings(src: ConjunctiveQuery, dst: ConjunctiveQuery, seed: dict[Var, Term
     """Yield homomorphisms from src's body into dst's body extending seed."""
     if seed is None:
         return
-    order = sorted(range(len(src.body)), key=lambda i: -src.body[i].n_constants())
+    atoms = sorted(src.body, key=lambda a: -a.n_constants())
+    yield from _extensions(atoms, 0, dst.body, seed)
 
-    def rec(k: int, env: dict[Var, Term]):
-        if k == len(order):
-            yield dict(env)
-            return
-        a = src.body[order[k]]
-        for b in dst.body:
-            env2 = _unify_atom(a, b, env)
-            if env2 is not None:
-                yield from rec(k + 1, env2)
 
-    yield from rec(0, seed)
+def _extensions(atoms, k: int, targets, env: dict[Var, Term]):
+    """Yield every extension of env that maps atoms[k:] into targets."""
+    if k == len(atoms):
+        yield dict(env)
+        return
+    for b in targets:
+        env2 = _unify_atom(atoms[k], b, env)
+        if env2 is not None:
+            yield from _extensions(atoms, k + 1, targets, env2)
 
 
 def _head_seed(src: ConjunctiveQuery, dst: ConjunctiveQuery) -> dict[Var, Term] | None:
@@ -630,6 +630,7 @@ def _canonical(q: ConjunctiveQuery, ordered_head: bool) -> tuple[str, tuple[int,
         return len(path)
 
     visit(colors, ())
+    del visit  # the closure holds itself: break the cycle for the collector
     return leaves[1][0], leaves[1][1], tuple(gens)
 
 

@@ -1,36 +1,42 @@
 """Search strategies over the state space.
 
-All strategies share one bookkeeping core and one expansion step.  The step
-applies transitions of the requested kinds to a state, checking the
-deadline before each one; every application is counted (and reported to an
-optional observer), and each child is admitted: deduplicated by signature,
-fusion-closed under avf, held back from expansion by a stop condition
-without being forgotten, and ranked against the best state so far with a
-deterministic tie-break of (cost, number of views, signature).  The same
-ranking orders every frontier, picks each fusion of a fusion closure and
-cuts frontiers to max_states.
+All strategies share one bookkeeping core and one search loop.  The loop
+applies transitions to a state, checking the deadline before each one;
+every application is counted (and reported to an optional observer), and
+each child is admitted: deduplicated by signature, fusion-closed under avf,
+held back from expansion by a stop condition without being forgotten, and
+ranked against the best state so far with a deterministic tie-break of
+(cost, number of views, signature).  The same ranking orders the loop's
+heap, picks each fusion of a fusion closure and cuts the heap to
+max_states.
 
-A stratum is a set of transition kinds.  exnaive, exstr and gstr share one
-loop: for each stratum in turn, it closes the kept states under the
-stratum's kinds, always expanding the cheapest state of its frontier next.
+A stratum is a set of transition kinds.  The loop closes a set of start
+states under a list of strata.  Its one heap holds (state, stratum)
+entries, cheapest state first; expanding (s, j) applies stratum j's kinds
+to s, queues s at j + 1 and each child at j, so every state is expanded
+under each stratum from the first one that reached it on.  The strategies
+differ only in how they call the loop:
 
-  exnaive  exhaustive, one stratum of all four kinds.
-  exstr    exhaustive but stratified: one stratum per kind, so it closes
-           the space under view breaks, then selection cuts, then join
-           cuts, then fusions.  Reaches the same states while applying no
-           more transitions than exnaive.
-  gstr     greedy stratified: the same strata as exstr, but after each one
-           it keeps only the cheapest state it reached.
-  dfs      exhaustive depth-first variant of the stratified order.  Its
-           frontier is a stack of (state, stratum) entries; the children of
-           one expansion go on it dearest first, so the cheapest child is
-           searched in full before its siblings.
+  exnaive  exhaustive: one call with one stratum of all four kinds.
+  exstr    exhaustive but stratified: one call per kind, in KINDS order,
+           from every state reached so far, so it closes the space under
+           view breaks, then selection cuts, then join cuts, then fusions.
+           Reaches the same states while applying no more transitions than
+           exnaive.
+  gstr     greedy stratified: as exstr, but each call starts from the
+           cheapest state that the call before reached.
+  dfs      exhaustive stratified best-first: one call with the four
+           per-kind strata, so the strata interleave and the cheapest
+           (state, stratum) entry is expanded next.  It expands the same
+           states under the same strata as exstr, in another order.  The
+           name stays because rdftuner/1 documents record it; the paper's
+           DFS is depth-first.
 
 Aggressive view fusion (avf) closes every newly created state under fusion
 before admitting it, discarding the intermediates.  The timeout is checked
 inside each closure too, except the initial state's.
 
-max_states keeps the cheapest states of the frontier of exnaive and of each
+max_states keeps the cheapest entries of the heap of exnaive and of each
 gstr stratum; exstr and dfs always search exhaustively and reject it.
 """
 
@@ -140,10 +146,6 @@ class _Run:
             return True
         return False
 
-    def note_peak(self, size: int) -> None:
-        if size > self.peak:
-            self.peak = size
-
     def _priority(self, state: State) -> tuple:
         cost = self.est.state_cost(state)
         return (cost.total, len(state.views), state.signature)
@@ -200,7 +202,14 @@ class _Run:
         state object and whether it is new and expandable.  A state whose
         closure ran out of time is returned unrecorded and not expandable.
         The initial state is admitted unbounded, so a zero-budget --avf run
-        returns the fusion-closed root."""
+        returns the fusion-closed root.
+
+        The first state met for a signature is kept, even if a later
+        arrival is cheaper: states of one view set may carry rewritings of
+        different cost (in a drained exnaive chain 5x5 run, 1,686 of 58,177
+        signatures first arrived dearer, by up to 21%).  Keeping the
+        cheapest instead would change the transition logs of the gstr runs
+        the benchmark drives."""
         if self.cfg.avf:
             closed = self._fusion_closure(state, bounded)
             if closed is None:
@@ -240,77 +249,51 @@ class _Run:
             trace=self.trace,
         )
 
-    # -- strategies -------------------------------------------------------
+    # -- the search loop --------------------------------------------------
 
-    def _expand(self, state: State, kinds):
-        """Count `state` as explored, then apply each transition of `kinds`
-        to it: count and observe it, and yield (child, expandable) from
-        admit.  The deadline is checked before each transition; once it has
-        passed, no further transition is applied."""
-        self.explored += 1
-        for tr in iter_transitions(state, self.ctx, kinds):
+    def close(self, starts, strata) -> dict[tuple[str, ...], State]:
+        """Close `starts` under `strata`, a list of tuples of kinds, and
+        return every state reached, `starts` included, by signature.
+
+        The heap orders (state, stratum) entries by the state's rank, then
+        the stratum.  A child is queued at j if it is new, or if it was so
+        far queued only at later strata: each entry carries the stratum it
+        stops before, and a re-arrival at j before the first stratum f the
+        state was queued at is queued for [j, f).  So each non-terminal
+        state is expanded once under each stratum from the first that
+        reached it on.  With max_states, the heap keeps only its cheapest
+        entries after each expansion."""
+        cap, last = self.cfg.max_states, len(strata)
+        heap = [(self._priority(s), 0, last, s) for s in starts
+                if s.signature not in self.terminal]
+        heapq.heapify(heap)
+        first = {entry[3].signature: 0 for entry in heap}
+        reached = {s.signature: s for s in starts}
+        while heap:
+            self.peak = max(self.peak, len(heap))
             if self.out_of_time():
-                return
-            self.transitions += 1
-            self._observe(tr.kind, state, tr.state)
-            yield self.admit(tr.state)
-
-    def run_strata(self, strata, greedy: bool = False) -> SearchResult:
-        """exnaive (one stratum of every kind), exstr and gstr (one stratum
-        per kind, in KINDS order): close the kept states under each
-        stratum's kinds, cheapest first.  exnaive and exstr keep every state
-        they reach; gstr keeps only the cheapest after each stratum."""
-        root, _ = self.admit(self.initial, bounded=False)
-        kept = {root.signature: root}
-        cap = self.cfg.max_states
-        for kinds in strata:
-            if self.timed_out:
                 break
-            heap = [(self._priority(s), s) for s in kept.values()
-                    if s.signature not in self.terminal]
-            heapq.heapify(heap)
-            while heap:
-                self.note_peak(len(heap))
+            rank, j, stop, state = heapq.heappop(heap)
+            if j + 1 < stop:
+                heapq.heappush(heap, (rank, j + 1, stop, state))
+            self.explored += 1
+            for tr in iter_transitions(state, self.ctx, strata[j]):
                 if self.out_of_time():
                     break
-                _, state = heapq.heappop(heap)
-                for child, expandable in self._expand(state, kinds):
-                    kept.setdefault(child.signature, child)
-                    if expandable:
-                        heapq.heappush(heap, (self._priority(child), child))
-                if self.timed_out:
-                    break
-                if cap is not None and len(heap) > cap:
-                    self.discarded += len(heap) - cap
-                    heap = heapq.nsmallest(cap, heap)  # a sorted list is a heap
-            if greedy:
-                winner = min(kept.values(), key=self._priority)
-                self.discarded += len(kept) - 1
-                kept = {winner.signature: winner}
-        return self.result()
-
-    def run_dfs(self) -> SearchResult:
-        """Depth-first over (state, stratum) entries.  Popping (s, j) first
-        pushes (s, j + 1), then the non-terminal children of s under
-        KINDS[j], dearest first, so the cheapest is searched in full before
-        its siblings.  Each pair is expanded once."""
-        root, expandable = self.admit(self.initial, bounded=False)
-        stack = [(root, 0)] if expandable else []
-        expanded: set[tuple[tuple[str, ...], int]] = set()
-        while stack:
-            self.note_peak(len(stack))
-            if self.out_of_time():
+                self.transitions += 1
+                self._observe(tr.kind, state, tr.state)
+                child, new = self.admit(tr.state)
+                sig = child.signature
+                reached.setdefault(sig, child)
+                if new or j < first.get(sig, j):
+                    heapq.heappush(heap, (self._priority(child), j, first.get(sig, last), child))
+                    first[sig] = j
+            if self.timed_out:
                 break
-            state, j = stack.pop()
-            if (state.signature, j) in expanded:
-                continue
-            expanded.add((state.signature, j))
-            if j + 1 < len(KINDS):
-                stack.append((state, j + 1))
-            children = [child for child, _ in self._expand(state, (KINDS[j],))
-                        if child.signature not in self.terminal]
-            stack.extend((child, j) for child in sorted(children, key=self._priority, reverse=True))
-        return self.result()
+            if cap is not None and len(heap) > cap:
+                self.discarded += len(heap) - cap
+                heap = heapq.nsmallest(cap, heap)  # a sorted list is a heap
+        return reached
 
 
 def check_config(cfg: SearchConfig) -> None:
@@ -339,8 +322,22 @@ def run_search(
     cfg = config or SearchConfig()
     check_config(cfg)
     run = _Run(initial, estimator, ctx, cfg)
+    root, _ = run.admit(initial, bounded=False)
+    per_kind = [(kind,) for kind in KINDS]
     if cfg.strategy == "dfs":
-        return run.run_dfs()
-    if cfg.strategy == "exnaive":
-        return run.run_strata([KINDS])
-    return run.run_strata([(kind,) for kind in KINDS], greedy=cfg.strategy == "gstr")
+        run.close([root], per_kind)
+    elif cfg.strategy == "exnaive":
+        run.close([root], [KINDS])
+    else:
+        # exstr and gstr close one stratum at a time: exstr from every state
+        # reached so far, gstr from the cheapest state of the stratum before
+        starts = [root]
+        for kinds in per_kind:
+            if run.timed_out:
+                break
+            reached = run.close(starts, [kinds])
+            starts = list(reached.values())
+            if cfg.strategy == "gstr":
+                starts = [min(starts, key=run._priority)]
+                run.discarded += len(reached) - 1
+    return run.result()

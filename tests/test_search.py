@@ -5,6 +5,8 @@ reachable states) and on the best cost in it; they may only differ in how
 much work they spend getting there.
 """
 
+import functools
+import gc
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ import pytest
 import rdftuner
 from conftest import painter_query, PAINTER_TRIPLES
 from rdftuner.cost import Estimator
-from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var
+from rdftuner.queries import ConjunctiveQuery, Const, TripleAtom, Var, find_containment_mapping
 from rdftuner.search import SearchConfig, _Run, run_search
 from rdftuner.states import KINDS, TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import collect_statistics
@@ -52,29 +54,50 @@ PAINTER = load_triples(PAINTER_TRIPLES)
 # exhaustive strategies agree
 
 
+def two_by_two(shape):
+    """Two queries of two atoms over a synthetic store: a space that drains
+    in a fraction of a second."""
+    store = make_synthetic_store(2000, seed=5)
+    spec = WorkloadSpec(n_queries=2, atoms_per_query=2, shape=shape, seed=5)
+    return generate_workload(spec, store), store
+
+
+EXHAUSTIVE_INPUTS = {
+    "chain": lambda: ([chain_query()], CHAIN_STORE),
+    "painter": lambda: ([painter_query()], PAINTER),
+    **{f"{shape}-2x2": functools.partial(two_by_two, shape)
+       for shape in ("chain", "star", "mixed", "random_sparse")},
+}
+
+
 @pytest.mark.parametrize(
-    "queries,store",
-    [
-        ([chain_query()], CHAIN_STORE),
-        ([painter_query()], PAINTER),
-    ],
-    ids=["chain", "painter"],
+    "name,avf",
+    [(name, avf) for avf in (False, True) for name in EXHAUSTIVE_INPUTS],
+    ids=[name + ("-avf" if avf else "") for avf in (False, True) for name in EXHAUSTIVE_INPUTS],
 )
-def test_exhaustive_strategies_agree(queries, store):
+def test_exhaustive_strategies_agree(name, avf):
+    queries, store = EXHAUSTIVE_INPUTS[name]()
     results = {}
     for strategy in ("exnaive", "exstr", "dfs"):
-        res, visited = run(queries, store, strategy=strategy)
+        res, visited = run(queries, store, strategy=strategy, avf=avf)
         results[strategy] = (res, visited)
     sets = {s: v for s, (_, v) in results.items()}
-    assert sets["exnaive"] == sets["exstr"] == sets["dfs"]
+    assert sets["exstr"] == sets["dfs"]
+    if not avf:  # fusion closures pass through different intermediates
+        assert sets["exnaive"] == sets["exstr"]
     totals = {s: r.best_cost.total for s, (r, _) in results.items()}
     assert totals["exnaive"] == totals["exstr"] == totals["dfs"]
     bests = {s: r.best.signature for s, (r, _) in results.items()}
     assert bests["exnaive"] == bests["exstr"] == bests["dfs"]
+    # dfs expands each state under the same strata as exstr, in another order
+    exstr, dfs = results["exstr"][0], results["dfs"][0]
+    for counter in ("created", "duplicates", "discarded", "explored", "transitions"):
+        assert getattr(dfs, counter) == getattr(exstr, counter), counter
     # stratified never applies more transitions than the naive closure
-    assert results["exstr"][0].transitions <= results["exnaive"][0].transitions
+    assert exstr.transitions <= results["exnaive"][0].transitions
     for res, visited in results.values():
-        assert res.created == len(visited)
+        if not avf:
+            assert res.created == len(visited)
         assert not res.timed_out
 
 
@@ -147,7 +170,8 @@ def test_the_cheapest_child_of_the_root_is_expanded_next(strategy):
     """The first state after the root to be expanded is the cheapest of the
     children the root has made by then.  On the painter query no child of a
     view break breaks further, so exstr and gstr first expand a selection
-    cut of the root, while dfs expands a view break of it."""
+    cut of the root.  So does dfs: the root is cheaper than its children, so
+    dfs expands it under view breaks, selection cuts and join cuts first."""
     log = []
     res, _ = run([painter_query()], PAINTER, strategy=strategy,
                  on_transition=lambda kind, parent, child: log.append((kind, parent, child)))
@@ -380,6 +404,32 @@ def test_a_drained_search_interns_few_fresh_variables():
     report = json.loads(proc.stdout)
     assert report["created"] > 100 and not report["timed_out"]
     assert report["fresh"] and max(report["fresh"]) <= 3 * len(painter_query().body) + 1
+
+
+def test_a_drained_search_leaves_no_cyclic_garbage():
+    """With the collector off, a drained search and a containment check free
+    everything they drop by reference counting alone: no helper, such as a
+    recursive closure, leaves a reference cycle.  On these star queries the
+    canonical forms take the individualization search."""
+    store = make_synthetic_store(2000, seed=5)
+    queries = generate_workload(
+        WorkloadSpec(n_queries=3, atoms_per_query=2, shape="star", seed=5), store)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        res, _ = run(queries, store, strategy="exstr", avf=True, stop_var=True)
+        assert find_containment_mapping(queries[0], queries[0]) is not None
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not res.timed_out and res.created > 100
+    assert garbage == 0
 
 
 # ---------------------------------------------------------------------------

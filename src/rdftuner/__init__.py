@@ -25,6 +25,7 @@ _EXPORTS = {
         "ConjunctiveQuery",
         "Const",
         "QueryError",
+        "SchemaError",
         "TripleAtom",
         "UnionQuery",
         "Var",
@@ -33,7 +34,6 @@ _EXPORTS = {
     ),
     "reasoning": (
         "Schema",
-        "SchemaError",
         "format_schema",
         "parse_schema",
         "reformulate",

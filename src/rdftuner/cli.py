@@ -7,16 +7,18 @@ view materialization, and answering workload queries from a tune document.
 Exit codes: 0 on success, 2 on invalid input (files, flags, queries,
 schema), 3 on unexpected runtime failure.
 
-Only `tune`, `stats` and `gen-workload` load the search stack (`search`,
-`cost`, `states`, `stats`, `workload`), inside the functions that run it;
-`answer`, `materialize`, `saturate` and `reformulate` load the queries,
-the store, the algebra and reasoning alone.  Of these, only the search
-stack uses `dataclasses` (mutable configs with defaults, `asdict` for the
-document, states compared by identity); the other layers write their
-value classes out on `queries._Record`, and `asdict` and `traceback` are
-imported where they are used, so the answering commands never import
-`dataclasses`, whose import was most of their start-up.  Likewise `main`
-builds the parser of the chosen subcommand alone (`parse_arguments`).
+Each command loads only the layers it runs.  Only `tune`, `stats` and
+`gen-workload` load the search stack (`search`, `cost`, `states`, `stats`,
+`workload`), inside the functions that run it; `answer`, `materialize`,
+`saturate` and `reformulate` load the queries, the store and the algebra.
+`reasoning` is loaded only where a schema is in play (reading, writing,
+saturating or reformulating with one): `gen-workload`, and a `tune`,
+`answer` or `materialize` in plain mode without a schema, never load it.
+No command imports `dataclasses`: the value classes of every layer are
+written out on `queries._Record` or as plain classes, and the tune
+document reads a record's fields through `_fields`.  `traceback` is
+imported where it is used, and `main` builds the parser of the chosen
+subcommand alone (`parse_arguments`).
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .algebra import (
     format_expr,
     scan_views,
 )
-from .choices import COMMONALITY, SHAPES, STRATEGIES
+from .choices import COMMONALITY, MODES, SHAPES, STRATEGIES
 from .queries import (
     ConjunctiveQuery,
     Const,
     QueryError,
+    SchemaError,
     TripleAtom,
     UnionQuery,
     format_query,
@@ -51,20 +54,11 @@ from .queries import (
     parse_queries,
     without_contained_members,
 )
-from .reasoning import (
-    MODES,
-    Schema,
-    SchemaError,
-    format_schema,
-    parse_schema,
-    reformulate,
-    reformulate_views_for_materialization,
-    saturate,
-)
 from .store import Relation, StoreError, TripleStore, dump_triples, load_triples, materialize
 
 if TYPE_CHECKING:
     from .cost import CostWeights
+    from .reasoning import Schema
     from .search import SearchConfig, SearchResult
     from .stats import WorkloadStatistics
 
@@ -90,6 +84,8 @@ def load_store_file(path: str, properties: Collection[str] | None = None) -> Tri
 
 
 def load_schema_file(path: str) -> Schema:
+    from .reasoning import parse_schema
+
     return parse_schema(_read_text(path))
 
 
@@ -135,6 +131,8 @@ def statistics_for_mode(
 
     _require_schema(mode, schema)
     if mode in ("saturate", "post"):
+        from .reasoning import saturate
+
         assert schema is not None
         store = saturate(store, schema)
     return collect_statistics(list(views), store)
@@ -175,6 +173,8 @@ def view_relations(
     _require_schema(mode, schema)
     queries: list[ConjunctiveQuery | UnionQuery] = list(views)
     if mode in ("saturate", "post"):
+        from .reasoning import reformulate_views_for_materialization
+
         assert schema is not None
         unions = reformulate_views_for_materialization(list(views), schema)
         queries = [without_contained_members(u) for u in unions]
@@ -202,6 +202,11 @@ def query_from_json(d: dict) -> ConjunctiveQuery:
     )
 
 
+def _fields_json(record) -> dict:
+    """A record's fields by name, in their order (`queries._Record`)."""
+    return {f: getattr(record, f) for f in record._fields}
+
+
 def result_document(
     queries: list[ConjunctiveQuery],
     result: SearchResult,
@@ -211,20 +216,23 @@ def result_document(
     weights: CostWeights,
     caches: dict,
 ) -> dict:
-    from dataclasses import asdict
-
     best = result.best
+    schema_lines = None
+    if schema is not None:
+        from .reasoning import format_schema
+
+        schema_lines = format_schema(schema).splitlines()
     return {
         "format": DOCUMENT_FORMAT,
         "mode": mode,
-        "schema": format_schema(schema).splitlines() if schema is not None else None,
+        "schema": schema_lines,
         "strategy": config.strategy,
         "avf": config.avf,
         "stop_tt": config.stop_tt,
         "stop_var": config.stop_var,
         "timeout": config.timeout,
         "max_states": config.max_states,
-        "weights": asdict(weights),
+        "weights": _fields_json(weights),
         "queries": [query_to_json(q) for q in queries],
         "views": [query_to_json(v) for v in best.views],
         "rewritings": [
@@ -235,8 +243,8 @@ def result_document(
             }
             for r in best.rewritings
         ],
-        "initial_cost": asdict(result.initial_cost),
-        "best_cost": asdict(result.best_cost),
+        "initial_cost": _fields_json(result.initial_cost),
+        "best_cost": _fields_json(result.best_cost),
         "rcr": result.rcr,
         "elapsed_seconds": result.elapsed,
         "timed_out": result.timed_out,
@@ -295,6 +303,8 @@ def document_schema(doc: dict) -> Schema | None:
     lines = doc.get("schema")
     if lines is None:
         return None
+    from .reasoning import parse_schema
+
     return parse_schema("\n".join(lines))
 
 
@@ -350,7 +360,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     except OverflowError:
         initial_cost = math.inf
     if not math.isfinite(initial_cost):
-        named = " ".join(f"--{name} {w:g}" for name, w in vars(weights).items())
+        named = " ".join(f"--{name} {getattr(weights, name):g}" for name in weights._fields)
         raise InputError(f"the cost of the initial state overflows under the cost "
                          f"weights {named}; use smaller weights")
     result = run_search(initial, estimator, ctx, config)
@@ -397,6 +407,8 @@ def _print_summary(result: SearchResult) -> None:
 
 
 def cmd_reformulate(args: argparse.Namespace) -> int:
+    from .reasoning import reformulate
+
     schema = load_schema_file(args.schema)
     queries = load_workload_file(args.queries)
     pieces = []
@@ -407,6 +419,8 @@ def cmd_reformulate(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
+    from .reasoning import saturate
+
     store = load_store_file(args.triples)
     schema = load_schema_file(args.schema)
     sat = saturate(store, schema, include_schema_triples=args.include_schema_triples)
@@ -567,19 +581,21 @@ def _answer_arguments(p: argparse.ArgumentParser) -> None:
 
 
 # each subcommand's help, the function that adds its arguments to a parser,
-# and the function that runs it
+# and the name of the function that runs it.  `main` looks that name up in
+# the module when it runs the subcommand, so a wrapper bound to the module
+# attribute (a tracer's, a test's) sees the call.
 COMMANDS = {
-    "tune": ("search for a good view set and rewritings", _tune_arguments, cmd_tune),
+    "tune": ("search for a good view set and rewritings", _tune_arguments, "cmd_tune"),
     "reformulate": ("schema-aware union rewriting of queries", _reformulate_arguments,
-                    cmd_reformulate),
-    "saturate": ("add all schema-entailed triples", _saturate_arguments, cmd_saturate),
-    "stats": ("collect workload statistics as JSON", _stats_arguments, cmd_stats),
+                    "cmd_reformulate"),
+    "saturate": ("add all schema-entailed triples", _saturate_arguments, "cmd_saturate"),
+    "stats": ("collect workload statistics as JSON", _stats_arguments, "cmd_stats"),
     "gen-workload": ("generate a synthetic workload", _gen_workload_arguments,
-                     cmd_gen_workload),
+                     "cmd_gen_workload"),
     "materialize": ("evaluate the views of a tune document", _materialize_arguments,
-                    cmd_materialize),
+                    "cmd_materialize"),
     "answer": ("answer a workload query from materialized views", _answer_arguments,
-               cmd_answer),
+               "cmd_answer"),
 }
 
 
@@ -590,10 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Materialized view selection for triple pattern workloads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, func) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=func)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -606,13 +620,12 @@ def parse_arguments(argv: list[str]) -> argparse.Namespace:
     prints its own usage error."""
     if argv and argv[0] in COMMANDS:
         name = argv[0]
-        _, add_arguments, func = COMMANDS[name]
+        _, add_arguments, _ = COMMANDS[name]
         parser = argparse.ArgumentParser(prog=f"rdftuner {name}")
         add_arguments(parser)
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             args.command = name
-            args.func = func
             return args
     return build_parser().parse_args(argv)
 
@@ -620,7 +633,7 @@ def parse_arguments(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_arguments(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return globals()[COMMANDS[args.command][2]](args)
     except (QueryError, SchemaError, StoreError, InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 from .algebra import (
     Expr,
@@ -57,35 +56,43 @@ from .algebra import (
     Scan,
     Select,
 )
-from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var
+from .queries import ConjunctiveQuery, Const, QueryError, Term, TripleAtom, Var, _Record, _set
 from .states import Rewriting, State
 from .stats import WorkloadStatistics
 
 
-@dataclass(frozen=True)
-class CostWeights:
-    cs: float = 1.0  # space
-    cr: float = 1.0  # rewriting evaluation
-    cm: float = 0.5  # maintenance
-    c1: float = 1.0  # io component of evaluation
-    c2: float = 1.0  # cpu component of evaluation
-    f: float = 2.0   # maintenance growth per body atom
+class CostWeights(_Record):
+    __slots__ = _fields = ("cs", "cr", "cm", "c1", "c2", "f")
+    cs: float  # space
+    cr: float  # rewriting evaluation
+    cm: float  # maintenance
+    c1: float  # io component of evaluation
+    c2: float  # cpu component of evaluation
+    f: float   # maintenance growth per body atom
 
-    def __post_init__(self) -> None:
-        # a negative weight lets a selection cut lower the cost or a view
-        # fusion raise it; NaN fails the comparison too
-        for name, w in vars(self).items():
+    def __init__(self, cs: float = 1.0, cr: float = 1.0, cm: float = 0.5, c1: float = 1.0,
+                 c2: float = 1.0, f: float = 2.0) -> None:
+        for name, w in zip(self._fields, (cs, cr, cm, c1, c2, f)):
+            # a negative weight lets a selection cut lower the cost or a view
+            # fusion raise it; NaN fails the comparison too
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"cost weight {name} (--{name}) must be finite and "
                                  f"at least 0, got {w}")
+            _set(self, name, w)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(_Record):
+    __slots__ = _fields = ("vso", "rec", "vmc", "total")
     vso: float
     rec: float
     vmc: float
     total: float
+
+    def __init__(self, vso: float, rec: float, vmc: float, total: float) -> None:
+        _set(self, "vso", vso)
+        _set(self, "rec", rec)
+        _set(self, "vmc", vmc)
+        _set(self, "total", total)
 
 
 def _sorted_product(factors: list[float]) -> float:

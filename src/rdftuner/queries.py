@@ -33,20 +33,28 @@ class QueryError(ValueError):
     """Raised for malformed query structures or query text."""
 
 
+# defined here, not in `reasoning`, so that the command line catches it
+# without loading reasoning in a run that reads no schema
+class SchemaError(ValueError):
+    """Raised for malformed schema text."""
+
+
 # ---------------------------------------------------------------------------
 # terms and atoms
 
 
 class _Record:
     """Base of the immutable value classes: queries, unions, algebra nodes,
-    schemas and relations.  A subclass lists its fields in `_fields` (and
-    in `__slots__`) and sets them in its `__init__` with `_set`.  The base
-    gives what a frozen dataclass would: assigning or deleting a field
-    raises `AttributeError`, equality and hashing go by the field values
-    (an object of another class is never equal), `repr` has the dataclass
-    format, and pickling or copying calls the class on the field values.
-    Written out here, it spares every command the import of `dataclasses`
-    and the code generation of its classes."""
+    schemas, relations, column statistics, cost weights and breakdowns,
+    rewritings, states and transitions.  A subclass lists its fields in
+    `_fields` (and in `__slots__`) and sets them in its `__init__` with
+    `_set`.  The base gives what a frozen dataclass would: assigning or
+    deleting a field raises `AttributeError`, equality and hashing go by
+    the field values (an object of another class is never equal), `repr`
+    has the dataclass format, and pickling or copying calls the class on
+    the field values.  `states.Rewriting` and `states.State` compare and
+    hash by identity instead.  Written out here, it spares every command
+    the import of `dataclasses` and the code generation of its classes."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

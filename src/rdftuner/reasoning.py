@@ -16,6 +16,7 @@ from .queries import (
     Const,
     ConjunctiveQuery,
     RDF_TYPE,
+    SchemaError,
     TripleAtom,
     UnionQuery,
     _Record,
@@ -33,14 +34,6 @@ DOMAIN = "rdfs:domain"
 RANGE = "rdfs:range"
 
 _KINDS = (SUBCLASS, SUBPROPERTY, DOMAIN, RANGE)
-
-# how implicit triples are handled: not at all, by saturating the store, or
-# by reformulating the workload before the search or the views after it
-MODES = ("plain", "saturate", "pre", "post")
-
-
-class SchemaError(ValueError):
-    """Raised for malformed schema text."""
 
 
 class Schema(_Record):

@@ -45,7 +45,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .choices import STRATEGIES
@@ -53,32 +52,56 @@ from .cost import CostBreakdown, Estimator
 from .states import KINDS, State, TransitionContext, iter_transitions
 
 
-@dataclass
 class SearchConfig:
-    strategy: str = "dfs"
-    avf: bool = False
-    stop_tt: bool = False
-    stop_var: bool = False
-    timeout: float | None = None
-    max_states: int | None = None  # exnaive and gstr only
-    on_transition: Callable[[str, State, State], None] | None = None
+    def __init__(
+        self,
+        strategy: str = "dfs",
+        avf: bool = False,
+        stop_tt: bool = False,
+        stop_var: bool = False,
+        timeout: float | None = None,
+        max_states: int | None = None,  # exnaive and gstr only
+        on_transition: Callable[[str, State, State], None] | None = None,
+    ) -> None:
+        self.strategy = strategy
+        self.avf = avf
+        self.stop_tt = stop_tt
+        self.stop_var = stop_var
+        self.timeout = timeout
+        self.max_states = max_states
+        self.on_transition = on_transition
 
 
-@dataclass
 class SearchResult:
-    best: State
-    best_cost: CostBreakdown
-    initial: State
-    initial_cost: CostBreakdown
-    created: int
-    duplicates: int
-    discarded: int
-    explored: int
-    transitions: int
-    peak_frontier: int
-    elapsed: float
-    timed_out: bool
-    trace: list[tuple[float, float, float]] = field(default_factory=list)
+    def __init__(
+        self,
+        best: State,
+        best_cost: CostBreakdown,
+        initial: State,
+        initial_cost: CostBreakdown,
+        created: int,
+        duplicates: int,
+        discarded: int,
+        explored: int,
+        transitions: int,
+        peak_frontier: int,
+        elapsed: float,
+        timed_out: bool,
+        trace: list[tuple[float, float, float]] | None = None,
+    ) -> None:
+        self.best = best
+        self.best_cost = best_cost
+        self.initial = initial
+        self.initial_cost = initial_cost
+        self.created = created
+        self.duplicates = duplicates
+        self.discarded = discarded
+        self.explored = explored
+        self.transitions = transitions
+        self.peak_frontier = peak_frontier
+        self.elapsed = elapsed
+        self.timed_out = timed_out
+        self.trace = [] if trace is None else trace
 
     @property
     def rcr(self) -> float:

@@ -30,7 +30,7 @@ keys, which is what the search layers deduplicate on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .algebra import (
     Expr,
@@ -49,6 +49,8 @@ from .queries import (
     QueryError,
     Term,
     Var,
+    _Record,
+    _set,
     bodies_isomorphic,
     canonical_body_key,
     canonical_key,
@@ -58,39 +60,66 @@ from .queries import (
     is_connected,
     view_key,
 )
-from .reasoning import MODES, Schema, reformulate
+from .choices import MODES
+
+if TYPE_CHECKING:
+    from .reasoning import Schema
 
 KINDS = ("VB", "SC", "JC", "VF")
 
 
-# compared by identity: the estimator memoizes a rewriting's cost on the
-# object, which a state's children share while they keep the views it scans
-@dataclass(frozen=True, eq=False)
-class Rewriting:
+# compared by identity, and weakly referenced: the estimator memoizes a
+# rewriting's cost on the object, which a state's children share while they
+# keep the views it scans
+class Rewriting(_Record):
+    __slots__ = ("query_name", "expr", "__weakref__")
+    _fields = ("query_name", "expr")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     query_name: str
     expr: Expr
 
+    def __init__(self, query_name: str, expr: Expr) -> None:
+        _set(self, "query_name", query_name)
+        _set(self, "expr", expr)
 
-@dataclass(frozen=True, eq=False)
-class State:
+
+class State(_Record):
+    """Views and rewritings, compared by identity like `Rewriting` and
+    keyed weakly by the estimator's memo.  `signature` is computed from the
+    views, so it is no field: a copy is built from the other three."""
+
+    __slots__ = ("views", "rewritings", "uid", "signature", "__weakref__")
+    _fields = ("views", "rewritings", "uid")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     views: tuple[ConjunctiveQuery, ...]
     rewritings: tuple[Rewriting, ...]
     uid: int
-    signature: tuple[str, ...] = field(init=False)
+    signature: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        sig = tuple(sorted(view_key(v) for v in self.views))
-        object.__setattr__(self, "signature", sig)
+    def __init__(
+        self, views: tuple[ConjunctiveQuery, ...], rewritings: tuple[Rewriting, ...], uid: int
+    ) -> None:
+        _set(self, "views", views)
+        _set(self, "rewritings", rewritings)
+        _set(self, "uid", uid)
+        _set(self, "signature", tuple(sorted(view_key(v) for v in views)))
 
     def __repr__(self) -> str:
         return f"State(uid={self.uid}, views={[v.name for v in self.views]})"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Record):
+    __slots__ = _fields = ("kind", "label", "state")
     kind: str
     label: str
     state: State
+
+    def __init__(self, kind: str, label: str, state: State) -> None:
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "state", state)
 
 
 class TransitionContext:
@@ -123,6 +152,8 @@ def initial_state(
         raise QueryError("empty workload")
     if mode in ("pre",) and schema is None:
         raise QueryError("pre-reformulation mode needs a schema")
+    if mode == "pre":
+        from .reasoning import reformulate
     views: list[ConjunctiveQuery] = []
     rewritings: list[Rewriting] = []
     for q in queries:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .queries import ConjunctiveQuery, Const, TripleAtom, Var
+from .queries import ConjunctiveQuery, Const, TripleAtom, Var, _Record, _set
 from .store import TripleStore
 
 PatternKey = tuple[tuple[str, str | int], ...]
@@ -69,19 +68,30 @@ def atom_patterns(a: TripleAtom) -> set[PatternKey]:
     return out
 
 
-@dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(_Record):
+    __slots__ = _fields = ("distinct", "avg_size", "min_size", "max_size")
     distinct: int
     avg_size: float
     min_size: int
     max_size: int
 
+    def __init__(self, distinct: int, avg_size: float, min_size: int, max_size: int) -> None:
+        _set(self, "distinct", distinct)
+        _set(self, "avg_size", avg_size)
+        _set(self, "min_size", min_size)
+        _set(self, "max_size", max_size)
 
-@dataclass
+
 class WorkloadStatistics:
-    triple_count: int
-    columns: tuple[ColumnStats, ColumnStats, ColumnStats]
-    pattern_counts: dict[PatternKey, int]
+    def __init__(
+        self,
+        triple_count: int,
+        columns: tuple[ColumnStats, ColumnStats, ColumnStats],
+        pattern_counts: dict[PatternKey, int],
+    ) -> None:
+        self.triple_count = triple_count
+        self.columns = columns
+        self.pattern_counts = pattern_counts
 
     def count(self, a: TripleAtom) -> int:
         key = pattern_of(a)

@@ -9,36 +9,44 @@ variables, keeping a configurable number of constants.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .choices import COMMONALITY, SHAPES
 from .queries import ConjunctiveQuery, Const, QueryError, RDF_TYPE, TripleAtom, Var, minimize
-from .reasoning import DOMAIN, RANGE, SUBCLASS, SUBPROPERTY, Schema
 from .store import StoreError, TripleStore
+
+if TYPE_CHECKING:
+    from .reasoning import Schema
 
 # the classes and properties of the synthetic stores and schemas
 N_CLASSES = 8
 N_PROPERTIES = 12
 
 
-@dataclass
 class WorkloadSpec:
-    n_queries: int = 5
-    atoms_per_query: int = 3
-    shape: str = "star"
-    commonality: str = "medium"
-    n_constants: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shape not in SHAPES:
-            raise QueryError(f"unknown shape {self.shape!r}")
-        if self.commonality not in COMMONALITY:
-            raise QueryError(f"unknown commonality {self.commonality!r}")
-        if self.n_queries < 1 or self.atoms_per_query < 1:
+    def __init__(
+        self,
+        n_queries: int = 5,
+        atoms_per_query: int = 3,
+        shape: str = "star",
+        commonality: str = "medium",
+        n_constants: int = 1,
+        seed: int = 0,
+    ) -> None:
+        if shape not in SHAPES:
+            raise QueryError(f"unknown shape {shape!r}")
+        if commonality not in COMMONALITY:
+            raise QueryError(f"unknown commonality {commonality!r}")
+        if n_queries < 1 or atoms_per_query < 1:
             raise QueryError("workload needs at least one query and one atom")
-        if self.n_constants < 0:
+        if n_constants < 0:
             raise QueryError("the number of constants must not be negative")
+        self.n_queries = n_queries
+        self.atoms_per_query = atoms_per_query
+        self.shape = shape
+        self.commonality = commonality
+        self.n_constants = n_constants
+        self.seed = seed
 
 
 def make_synthetic_store(n_triples: int, seed: int = 0) -> TripleStore:
@@ -78,6 +86,8 @@ def make_synthetic_store(n_triples: int, seed: int = 0) -> TripleStore:
 def make_synthetic_schema(n_statements: int = 10, seed: int = 0) -> Schema:
     """Subclass and subproperty chains plus a few domain/range statements
     over the vocabulary of make_synthetic_store."""
+    from .reasoning import DOMAIN, RANGE, SUBCLASS, SUBPROPERTY, Schema
+
     rng = random.Random(seed)
     classes = [f"c{i}" for i in range(N_CLASSES)]
     properties = [f"p{i}" for i in range(N_PROPERTIES)]

@@ -131,7 +131,7 @@ def test_tune_records_flags_in_document(painter_files, tmp_path):
     assert doc["max_states"] == 500
     assert doc["weights"]["cs"] == 2.0 and doc["weights"]["cm"] == 0.25
     assert doc["weights"]["cr"] == 1.0  # untouched default
-    # the weights and cost breakdowns are written in their dataclasses' field order
+    # the weights and cost breakdowns are written in their records' field order
     assert ('  "weights": {\n    "cs": 2.0,\n    "cr": 1.0,\n    "cm": 0.25,\n'
             '    "c1": 1.0,\n    "c2": 1.0,\n    "f": 2.0\n  },\n') in text
     assert list(doc["initial_cost"]) == list(doc["best_cost"]) == ["vso", "rec", "vmc", "total"]
@@ -425,12 +425,15 @@ def test_answer_materializes_only_the_views_its_rewriting_scans(
         materialized.append(view.name)
         return real(view, store)
 
-    def recording_reformulate(views, schema, real=cli.reformulate_views_for_materialization):
+    def recording_reformulate(views, schema,
+                              real=reasoning.reformulate_views_for_materialization):
         reformulated.extend(v.name for v in views)
         return real(views, schema)
 
     monkeypatch.setattr(cli, "materialize", recording_materialize)
-    monkeypatch.setattr(cli, "reformulate_views_for_materialization", recording_reformulate)
+    # cli imports it from reasoning where it reformulates
+    monkeypatch.setattr(reasoning, "reformulate_views_for_materialization",
+                        recording_reformulate)
     store = load_triples(PAINTER_TRIPLES)
     if mode == "post":
         store = saturate(store, parse_schema(GALLERY_SCHEMA))
@@ -919,6 +922,37 @@ def test_unexpected_failure_exits_3(painter_files, monkeypatch, capsys):
     rc = main(["tune", "--triples", str(triples), "--queries", str(queries)])
     assert rc == 3
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_a_negative_weight_exits_2_naming_it(painter_files, capsys):
+    triples, queries, _ = painter_files
+    assert main(["tune", "--triples", str(triples), "--queries", str(queries),
+                 "--cs", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cost weight cs (--cs) must be finite and at least 0, got -1.0\n")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_main_runs_the_module_attribute_of_the_subcommand(painter_files, monkeypatch, name):
+    """A wrapper bound to `cli.cmd_<name>` after import, as a tracer binds
+    one, runs in place of the subcommand."""
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), wrapper)
+    triples, queries, _ = painter_files
+    argv = {"tune": ["--triples", str(triples), "--queries", str(queries)],
+            "reformulate": ["--queries", "q", "--schema", "s"],
+            "saturate": ["--triples", "t", "--schema", "s"],
+            "stats": ["--triples", "t", "--queries", "q"],
+            "gen-workload": [],
+            "materialize": ["--plan", "p", "--triples", "t"],
+            "answer": ["--plan", "p", "--triples", "t", "--query", "q1"]}[name]
+    assert main([name, *argv]) == 0
+    assert calls == [name]
 
 
 def test_missing_subcommand_is_a_usage_error():

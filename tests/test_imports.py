@@ -1,6 +1,7 @@
 """What each module imports and defines: no name imported and never used,
 no module-level function or class that nothing else names, no search stack
-and no `dataclasses` behind the commands that answer from a tune document,
+behind the commands that answer from a tune document, no `dataclasses`
+behind any command, no reasoning behind a plain-mode run without a schema,
 and a package root whose public names resolve on first use."""
 
 import ast
@@ -177,7 +178,8 @@ def test_lru_cached_function_scan():
 
 @pytest.fixture
 def painter_plans(tmp_path):
-    """The painter files and a tune document for them in plain and post mode."""
+    """The painter files and a tune document for them in plain mode, without
+    a schema, and in post mode."""
     triples = tmp_path / "triples.txt"
     queries = tmp_path / "queries.txt"
     schema = tmp_path / "schema.txt"
@@ -188,8 +190,8 @@ def painter_plans(tmp_path):
     for mode in ("plain", "post"):
         plans[mode] = tmp_path / f"{mode}.json"
         assert main(["tune", "--triples", str(triples), "--queries", str(queries),
-                     "--schema", str(schema), "--mode", mode, "--strategy", "gstr",
-                     "--out", str(plans[mode])]) == 0
+                     "--mode", mode, "--strategy", "gstr", "--out", str(plans[mode])]
+                    + (["--schema", str(schema)] if mode == "post" else [])) == 0
     return tmp_path, plans
 
 
@@ -227,13 +229,9 @@ def cli_probe(argv: list[str]) -> str:
 @pytest.mark.parametrize("command", ["answer", "materialize"])
 def test_answering_from_a_plan_loads_no_search_stack(painter_plans, command, mode):
     tmp_path, plans = painter_plans
-    out = tmp_path / f"{command}-{mode}"
-    argv = [command, "--plan", str(plans[mode]), "--triples", str(tmp_path / "triples.txt")]
-    argv += ["--query", "q1", "--out", str(out)] if command == "answer" else [
-        "--out-dir", str(out)]
-    report = run_probe(cli_probe(argv), tmp_path)
+    report = run_probe(cli_probe(answering_argv(tmp_path, command, plans[mode])), tmp_path)
     assert report["result"] == 0
-    assert out.exists()
+    assert (tmp_path / f"{command}-{mode}").exists()
     assert not set(SEARCH_STACK) & set(report["loaded"])
     assert report["stdlib"] == []
 
@@ -255,14 +253,53 @@ def test_saturate_and_reformulate_load_no_search_stack(painter_plans):
         assert report["stdlib"] == []
 
 
+def search_stack_argv(tmp_path: Path, command: str) -> list[str]:
+    if command == "gen-workload":
+        return [command, "--store-size", "200", "--out", str(tmp_path / "generated.txt")]
+    return [command, "--triples", str(tmp_path / "triples.txt"),
+            "--queries", str(tmp_path / "queries.txt"),
+            "--out", str(tmp_path / f"{command}.out")]
+
+
 def test_tune_loads_the_search_stack(painter_plans):
     tmp_path, _ = painter_plans
-    report = run_probe(cli_probe(["tune", "--triples", str(tmp_path / "triples.txt"),
-                                  "--queries", str(tmp_path / "queries.txt"),
-                                  "--out", str(tmp_path / "again.json")]), tmp_path)
+    report = run_probe(cli_probe(search_stack_argv(tmp_path, "tune")), tmp_path)
     assert report["result"] == 0
     assert set(SEARCH_STACK) - {"rdftuner.workload"} <= set(report["loaded"])
-    assert "dataclasses" in report["stdlib"]
+    assert report["stdlib"] == []
+
+
+@pytest.mark.parametrize("command", ["stats", "gen-workload"])
+def test_stats_and_generation_load_no_dataclasses_nor_reasoning(painter_plans, command):
+    tmp_path, _ = painter_plans
+    report = run_probe(cli_probe(search_stack_argv(tmp_path, command)), tmp_path)
+    assert report["result"] == 0
+    assert report["stdlib"] == []
+    assert "rdftuner.reasoning" not in report["loaded"]
+
+
+def answering_argv(tmp_path: Path, command: str, plan: Path) -> list[str]:
+    out = tmp_path / f"{command}-{plan.stem}"
+    argv = [command, "--plan", str(plan), "--triples", str(tmp_path / "triples.txt")]
+    return argv + (["--query", "q1", "--out", str(out)] if command == "answer"
+                   else ["--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("mode", ["plain", "post"])
+@pytest.mark.parametrize("command", ["tune", "answer", "materialize"])
+def test_reasoning_loads_only_with_a_schema(painter_plans, command, mode):
+    """A plain-mode run without a schema never loads reasoning; a post-mode
+    run, which reads the schema, does."""
+    tmp_path, plans = painter_plans
+    if command == "tune":
+        argv = search_stack_argv(tmp_path, command) + ["--mode", mode]
+        if mode == "post":
+            argv += ["--schema", str(tmp_path / "schema.txt")]
+    else:
+        argv = answering_argv(tmp_path, command, plans[mode])
+    report = run_probe(cli_probe(argv), tmp_path)
+    assert report["result"] == 0
+    assert ("rdftuner.reasoning" in report["loaded"]) == (mode == "post")
 
 
 def test_importing_the_package_loads_no_module(tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import QUERY_CHARS, loader_symbols, symmetric_bodies
 from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp
+from rdftuner.cost import CostBreakdown, CostWeights
 from rdftuner.queries import (
     ConjunctiveQuery,
     Const,
@@ -41,6 +42,8 @@ from rdftuner.queries import (
     view_key,
 )
 from rdftuner.reasoning import SUBCLASS, Schema
+from rdftuner.states import Transition
+from rdftuner.stats import ColumnStats
 from rdftuner.store import Relation, TripleStore, evaluate
 
 VARS = [Var(n) for n in "XYZW"]
@@ -557,6 +560,12 @@ def _record_cases():
         (Schema, {"statements": frozenset({(SUBCLASS, "a", "b")}),
                   "declared_classes": frozenset({"c"}), "declared_properties": frozenset()}),
         (Relation, {"name": "r", "columns": (x, y), "rows": frozenset({("a", "b")})}),
+        (CostWeights, {"cs": 2.0, "cr": 1.0, "cm": 0.25, "c1": 1.0, "c2": 0.0, "f": 3.0}),
+        (CostBreakdown, {"vso": 1.5, "rec": 2.0, "vmc": 0.5, "total": 4.0}),
+        (ColumnStats, {"distinct": 3, "avg_size": 2.5, "min_size": 1, "max_size": 4}),
+        # a state compares by identity, so a copy of one is another state:
+        # a value that copies equal stands in for it
+        (Transition, {"kind": "VB", "label": "break v1", "state": Scan("v1")}),
     ]
 
 
@@ -574,9 +583,10 @@ def test_value_records_act_as_frozen_dataclasses(cls, fields):
     assert hash(equal) == hash(obj)
     assert tuple(getattr(obj, f) for f in fields) == values
     # another class with as many fields, given the same values
-    twin = next(c for c, f in RECORD_CASES
-                if c not in (cls, UnionQuery) and len(f) == len(fields))
-    assert twin(*values) != obj and obj != twin(*values)
+    twin = next((c for c, f in RECORD_CASES
+                 if c not in (cls, UnionQuery) and len(f) == len(fields)), None)
+    if twin is not None:
+        assert twin(*values) != obj and obj != twin(*values)
     for name in (*fields, "other"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -597,6 +607,11 @@ def test_value_records_keep_their_defaults_and_checks():
                        "o=Var(name='Y')),))")
     assert Schema(frozenset()) == Schema(frozenset(), frozenset(), frozenset())
     assert Relation("r", ()).rows == frozenset()
+    assert CostWeights() == CostWeights(1.0, 1.0, 0.5, 1.0, 1.0, 2.0)
+    assert CostWeights(f=3.0).f == 3.0 and CostWeights(f=3.0).cm == 0.5
+    with pytest.raises(ValueError, match=r"cost weight cm \(--cm\) must be finite and at "
+                                         r"least 0, got -1"):
+        CostWeights(cm=-1)
     with pytest.raises(QueryError, match="no members"):
         UnionQuery("u", ())
     with pytest.raises(QueryError, match="mixes head arities"):

@@ -6,10 +6,12 @@ materialized views must return exactly the answers of the query on the
 triple store.  Every test that builds states runs it.
 """
 
+import copy
 import itertools
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,36 @@ def view_shape(v):
 
 def state_shape(state):
     return tuple(sorted(view_shape(v) for v in state.views))
+
+
+# ---------------------------------------------------------------------------
+# states and rewritings as objects
+
+
+def test_states_and_rewritings_compare_by_identity():
+    """The estimator memoizes by state and by rewriting object, weakly:
+    each compares and hashes as itself, takes weak references and refuses
+    changes."""
+    q = painter_query()
+    r = Rewriting(q.name, Scan(q.name))
+    s = State((q,), (r,), 1)
+    for obj, twins in ((r, [Rewriting(q.name, Scan(q.name)), copy.copy(r)]),
+                       (s, [State(s.views, s.rewritings, s.uid), copy.copy(s)])):
+        assert obj == obj and hash(obj) == object.__hash__(obj)
+        for twin in twins:
+            assert type(twin) is type(obj) and twin != obj and not twin == obj
+            assert {obj: 1, twin: 2}[obj] == 1
+    assert copy.copy(s).signature == s.signature == (view_key(q),)
+    memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    memo[s] = memo[r] = 0.0
+    assert weakref.ref(s)() is s and weakref.ref(r)() is r and len(memo) == 2
+    for obj, names in ((s, ("views", "rewritings", "uid", "signature", "other")),
+                       (r, ("query_name", "expr", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    assert repr(r) == "Rewriting(query_name='q1', expr=Scan(view='q1'))"
+    assert repr(s) == "State(uid=1, views=['q1'])"
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,16 @@ def test_spec_validation():
     assert WorkloadSpec().commonality in COMMONALITY
 
 
+def test_spec_takes_its_fields_by_position():
+    """The benchmark builds specs positionally, in this order."""
+    spec = WorkloadSpec(5, 4, "star", "high", 0, 5)
+    assert (spec.n_queries, spec.atoms_per_query, spec.shape, spec.commonality,
+            spec.n_constants, spec.seed) == (5, 4, "star", "high", 0, 5)
+    default = WorkloadSpec()
+    assert (default.n_queries, default.atoms_per_query, default.shape, default.commonality,
+            default.n_constants, default.seed) == (5, 3, "star", "medium", 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # generated queries
 

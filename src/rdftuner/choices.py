@@ -2,8 +2,8 @@
 generator settings.
 
 Defined here, apart from `search`, `reasoning` and `workload`, so that the
-command line parser lists them as choices, and `states` checks a mode,
-without importing the search stack or reasoning.
+command line parser lists them as choices without importing the search
+stack or reasoning.
 """
 
 STRATEGIES = ("exnaive", "exstr", "dfs", "gstr")

@@ -60,7 +60,6 @@ if TYPE_CHECKING:
     from .cost import CostWeights
     from .reasoning import Schema
     from .search import SearchConfig, SearchResult
-    from .stats import WorkloadStatistics
 
 DOCUMENT_FORMAT = "rdftuner/1"
 
@@ -108,34 +107,40 @@ def _write_out(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # mode plumbing shared by tune/stats/materialize/answer
 
+# the modes whose views answer over the saturated store: a saturated view is
+# evaluated there, and a post-reformulated one is materialized as its
+# reformulation over the raw store, which gives the same answers
+SATURATED_MODES = ("saturate", "post")
 
-def _require_schema(mode: str, schema: Schema | None) -> None:
-    if mode != "plain" and schema is None:
-        raise InputError(f"mode {mode!r} needs --schema")
 
+def _tuning_setup(args: argparse.Namespace):
+    """The workload, the schema, the transition context, the initial state
+    and the statistics that `tune` and `stats` start from.
 
-def statistics_for_mode(
-    views: list[ConjunctiveQuery] | tuple[ConjunctiveQuery, ...],
-    store: TripleStore,
-    schema: Schema | None,
-    mode: str,
-) -> WorkloadStatistics:
-    """Statistics of the store the mode's views draw their answers from.
-
-    Plain and pre-reformulated views are answered over the raw store,
-    saturated ones over the saturated store.  A post-reformulated view is
-    materialized as its reformulation over the raw store, which gives the
-    view's answers over the saturated store, so post counts there too.
+    A mode other than plain needs --schema, which is checked before any file
+    is read.  In pre mode each query seeds the views of its reformulation;
+    in the saturated modes the statistics count the saturated store.
     """
+    from .states import TransitionContext, initial_state
     from .stats import collect_statistics
 
-    _require_schema(mode, schema)
-    if mode in ("saturate", "post"):
+    if args.mode != "plain" and not args.schema:
+        raise InputError(f"mode {args.mode!r} needs --schema")
+    store = load_store_file(args.triples)
+    schema = load_schema_file(args.schema) if args.schema else None
+    queries = load_workload_file(args.queries)
+    seeds: list[ConjunctiveQuery | UnionQuery] = list(queries)
+    if args.mode == "pre":
+        from .reasoning import reformulate
+
+        seeds = [reformulate(q, schema) for q in queries]
+    ctx = TransitionContext()
+    initial = initial_state(seeds, ctx)
+    if args.mode in SATURATED_MODES:
         from .reasoning import saturate
 
-        assert schema is not None
         store = saturate(store, schema)
-    return collect_statistics(list(views), store)
+    return queries, schema, ctx, initial, collect_statistics(list(initial.views), store)
 
 
 def _properties_named(queries: list[ConjunctiveQuery | UnionQuery]) -> set[str] | None:
@@ -170,12 +175,10 @@ def view_relations(
     the triples of the properties their atoms name are loaded.  The whole
     file is loaded when an atom's property is a variable.
     """
-    _require_schema(mode, schema)
     queries: list[ConjunctiveQuery | UnionQuery] = list(views)
-    if mode in ("saturate", "post"):
+    if mode in SATURATED_MODES:
         from .reasoning import reformulate_views_for_materialization
 
-        assert schema is not None
         unions = reformulate_views_for_materialization(list(views), schema)
         queries = [without_contained_members(u) for u in unions]
     store = load_store_file(triples, _properties_named(queries))
@@ -330,7 +333,6 @@ def _relation_tsv(rel: Relation) -> str:
 def cmd_tune(args: argparse.Namespace) -> int:
     from .cost import CostWeights, Estimator
     from .search import SearchConfig, check_config, run_search
-    from .states import TransitionContext, initial_state
 
     config = SearchConfig(
         strategy=args.strategy,
@@ -345,14 +347,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         weights = CostWeights(cs=args.cs, cr=args.cr, cm=args.cm, c1=args.c1, c2=args.c2, f=args.f)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    store = load_store_file(args.triples)
-    schema = load_schema_file(args.schema) if args.schema else None
-    _require_schema(args.mode, schema)
-    queries = load_workload_file(args.queries)
-
-    ctx = TransitionContext()
-    initial = initial_state(queries, ctx, mode=args.mode, schema=schema)
-    stats = statistics_for_mode(initial.views, store, schema, args.mode)
+    queries, schema, ctx, initial, stats = _tuning_setup(args)
     estimator = Estimator(stats, weights)
     keys_before = key_cache_info()
     try:
@@ -429,14 +424,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .states import TransitionContext, initial_state
-
-    store = load_store_file(args.triples)
-    schema = load_schema_file(args.schema) if args.schema else None
-    queries = load_workload_file(args.queries)
-    ctx = TransitionContext()
-    initial = initial_state(queries, ctx, mode=args.mode, schema=schema)
-    stats = statistics_for_mode(initial.views, store, schema, args.mode)
+    stats = _tuning_setup(args)[-1]
     _write_out(stats.dumps(), args.out)
     return 0
 

@@ -194,53 +194,47 @@ class Estimator:
     # -- operator trees ---------------------------------------------------
 
     def _walk(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> tuple:
-        """Returns (body, columns, rows, io, cpu) for one subtree: its
-        derived body (None over a union), its columns, its cardinality, and
-        the io and cpu of computing it."""
+        """Returns (body, rows, io, cpu) for one subtree: its derived body
+        (None over a union), its cardinality, and the io and cpu of
+        computing it."""
         if isinstance(expr, Scan):
             view = views[expr.view]
             rows = self.view_rows(view)
-            return view.body, view.head, rows, rows, 0.0
+            return view.body, rows, rows, 0.0
 
         if isinstance(expr, Select):
-            body, cols, rows, io, cpu = self._walk(expr.child, views)
+            body, rows, io, cpu = self._walk(expr.child, views)
             if body is None:
                 raise QueryError("selection over a union is unsupported")
             bound = _subst_body(body, {expr.left: expr.right})  # type: ignore[dict-item]
-            return bound, cols, self.body_rows(bound), io, cpu + rows
+            return bound, self.body_rows(bound), io, cpu + rows
 
         if isinstance(expr, Project):
-            body, _, rows, io, cpu = self._walk(expr.child, views)
-            return body, expr.columns, rows, io, cpu
+            return self._walk(expr.child, views)
 
         if isinstance(expr, Rename):
-            body, cols, rows, io, cpu = self._walk(expr.child, views)
-            mapping: dict[Var, Term] = dict(expr.mapping)
+            body, rows, io, cpu = self._walk(expr.child, views)
             if body is not None:
-                body = _subst_body(body, mapping)
-            cols = tuple(mapping.get(t, t) if isinstance(t, Var) else t for t in cols)
-            return body, cols, rows, io, cpu
+                body = _subst_body(body, dict(expr.mapping))
+            return body, rows, io, cpu
 
         if isinstance(expr, NatJoin):
-            lbody, lcols, lrows, lio, lcpu = self._walk(expr.left, views)
-            rbody, rcols, rrows, rio, rcpu = self._walk(expr.right, views)
+            lbody, lrows, lio, lcpu = self._walk(expr.left, views)
+            rbody, rrows, rio, rcpu = self._walk(expr.right, views)
             if lbody is None or rbody is None:
                 raise QueryError("join over a union is unsupported")
             body = _merge_bodies(lbody, rbody)
             card = self.body_rows(body)
-            shared = {c for c in lcols if c in rcols}
-            cols = lcols + tuple(c for c in rcols if c not in shared)
-            cpu = lcpu + rcpu + lrows + rrows + card
-            return body, cols, card, lio + rio, cpu
+            return body, card, lio + rio, lcpu + rcpu + lrows + rrows + card
 
         # union: members are independent plans over disjoint scans
         parts = [self._walk(c, views) for c in expr.children]
-        card = sum(p[2] for p in parts)
-        io = sum(p[3] for p in parts)
-        return None, parts[0][1], card, io, sum(p[4] for p in parts) + card
+        card = sum(p[1] for p in parts)
+        io = sum(p[2] for p in parts)
+        return None, card, io, sum(p[3] for p in parts) + card
 
     def rewriting_cost(self, expr: Expr, views: dict[str, ConjunctiveQuery]) -> float:
-        _, _, _, io, cpu = self._walk(expr, views)
+        _, _, io, cpu = self._walk(expr, views)
         return self.weights.c1 * io + self.weights.c2 * cpu
 
     # -- state cost -------------------------------------------------------

@@ -9,9 +9,11 @@ or property.
 The container itself is permissive.  Workload queries parsed from text are
 validated (connected body, head variables bound, at most two constants per
 atom) and split into independent sub-queries when their join graph is
-disconnected; views enforce the same rules at construction time in the state
-layer.  Internal queries produced by rewriting rules may legitimately violate
-them and still need to evaluate.
+disconnected.  The state layer checks the same rules only on the queries
+that seed the initial state's views, and a member of a union seed only for
+an all-constant atom and a disconnected body; the views that transitions
+make are not checked.  Internal queries produced by rewriting rules may
+legitimately violate the rules and still need to evaluate.
 
 Terms and atoms are hash-consed: `Var`, `Const` and `TripleAtom` each keep
 one object per value, so two equal terms or atoms are the same object and

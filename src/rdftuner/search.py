@@ -157,9 +157,12 @@ class _Run:
         self.best_key: tuple | None = None
         self.trace: list[tuple[float, float, float]] = []
 
-        # a stop condition already met by the initial state is suppressed
-        self.stop_var_active = cfg.stop_var and not is_all_variable(initial)
-        self.stop_tt_active = cfg.stop_tt
+        # the stop conditions asked for, each left out when the initial state
+        # meets it: a condition that holds at the root would stop the search
+        # before it starts
+        self.stops = [test for on, test in ((cfg.stop_tt, is_triple_table),
+                                            (cfg.stop_var, is_all_variable))
+                      if on and not test(initial)]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -245,10 +248,7 @@ class _Run:
         self.seen[state.signature] = state
         self.created += 1
         self._consider_best(state)
-        stopped = (self.stop_tt_active and is_triple_table(state)) or (
-            self.stop_var_active and is_all_variable(state)
-        )
-        if stopped:
+        if any(test(state) for test in self.stops):
             self.terminal.add(state.signature)
             self.discarded += 1
             return state, False

@@ -30,7 +30,6 @@ keys, which is what the search layers deduplicate on.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from .algebra import (
     Expr,
@@ -48,6 +47,7 @@ from .queries import (
     Const,
     QueryError,
     Term,
+    UnionQuery,
     Var,
     _Record,
     _set,
@@ -60,10 +60,6 @@ from .queries import (
     is_connected,
     view_key,
 )
-from .choices import MODES
-
-if TYPE_CHECKING:
-    from .reasoning import Schema
 
 KINDS = ("VB", "SC", "JC", "VF")
 
@@ -139,29 +135,18 @@ class TransitionContext:
 
 
 def initial_state(
-    queries: list[ConjunctiveQuery],
-    ctx: TransitionContext,
-    mode: str = "plain",
-    schema: Schema | None = None,
+    queries: list[ConjunctiveQuery | UnionQuery], ctx: TransitionContext
 ) -> State:
-    """One view per workload query; in pre-reformulation mode, one view per
-    member of each query's entailment-aware rewriting, united."""
-    if mode not in MODES:
-        raise QueryError(f"unknown mode {mode!r}")
+    """One view per workload query.  A query given as a union, such as the
+    entailment-aware rewriting of a query (`reasoning.reformulate`), gets
+    one view per member, and its rewriting unites their scans."""
     if not queries:
         raise QueryError("empty workload")
-    if mode in ("pre",) and schema is None:
-        raise QueryError("pre-reformulation mode needs a schema")
-    if mode == "pre":
-        from .reasoning import reformulate
     views: list[ConjunctiveQuery] = []
     rewritings: list[Rewriting] = []
     for q in queries:
-        check_workload_query(q)
-        if mode == "pre":
-            assert schema is not None
-            members = reformulate(q, schema).members
-            scans: list[Expr] = []
+        if isinstance(q, UnionQuery):
+            members = q.members
             for m in members:
                 for a in m.body:
                     if a.n_constants() == 3:
@@ -175,16 +160,17 @@ def initial_state(
                         f"{q.name}: entailment-aware rewriting disconnects a member; "
                         "use saturation or post-reformulation instead"
                     )
-                v = ConjunctiveQuery(ctx.view_name(), m.head, m.body)
-                views.append(v)
-                scans.append(Scan(v.name))
-            rewritings.append(
-                Rewriting(q.name, scans[0] if len(scans) == 1 else UnionOp(tuple(scans)))
-            )
         else:
-            v = ConjunctiveQuery(ctx.view_name(), q.head, q.body)
+            check_workload_query(q)
+            members = (q,)
+        scans: list[Expr] = []
+        for m in members:
+            v = ConjunctiveQuery(ctx.view_name(), m.head, m.body)
             views.append(v)
-            rewritings.append(Rewriting(q.name, Scan(v.name)))
+            scans.append(Scan(v.name))
+        rewritings.append(
+            Rewriting(q.name, scans[0] if len(scans) == 1 else UnionOp(tuple(scans)))
+        )
     return State(tuple(views), tuple(rewritings), ctx.next_uid())
 
 

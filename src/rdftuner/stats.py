@@ -6,13 +6,12 @@ of its constants replaced by fresh variables, and any refinement of its
 repeated-variable pattern (a join cut may sever one occurrence of a repeated
 variable, producing an atom the original pattern does not cover).
 
-Counts are taken on the store the caller passes, which must hold the triples
-the views' answers are drawn from: the raw store for plain and
-pre-reformulated views, the saturated store for saturation and for
-post-reformulation.  A post-reformulated view is materialized as its
-reformulation over the raw store, whose answers are exactly the view's
-answers over the saturated store, so the search costs it with the saturated
-store's statistics.
+Counts are taken on the store the caller picks, which must hold the triples
+the views' answers are drawn from.  The command line picks the saturated
+store for saturation and for post-reformulation, and the raw store
+otherwise: a post-reformulated view is materialized as its reformulation
+over the raw store, whose answers are exactly the view's answers over the
+saturated store.
 """
 
 from __future__ import annotations
@@ -149,12 +148,7 @@ def collect_statistics(
     queries: list[ConjunctiveQuery], store: TripleStore
 ) -> WorkloadStatistics:
     """Count every shape of every workload atom, and the column statistics,
-    on `store`.
-
-    The caller chooses the store: the saturated one when the views' answers
-    include entailed triples (saturation and post-reformulation), the raw one
-    otherwise.
-    """
+    on `store`, the store the caller picks (see the module docstring)."""
     keys: set[PatternKey] = set()
     for q in queries:
         for a in q.body:

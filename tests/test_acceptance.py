@@ -453,7 +453,7 @@ def test_criterion_10_timed_cost_reduction():
         est = Estimator(collect_statistics(initial.views, store), CostWeights())
         dfs = run_search(initial, est, ctx,
                          SearchConfig(strategy="dfs", avf=True, stop_var=True,
-                                      timeout=60.0))
+                                      timeout=5.0))
         assert dfs.rcr > 0.3, (shape, dfs.rcr)
 
         ctx = TransitionContext()

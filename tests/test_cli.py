@@ -864,6 +864,16 @@ def test_invalid_inputs_exit_2(painter_files, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err or argv[1].endswith("bad.json")
 
 
+@pytest.mark.parametrize("mode", ["pre", "saturate", "post"])
+@pytest.mark.parametrize("command", ["tune", "stats"])
+def test_a_mode_without_a_schema_exits_2_before_reading_a_file(tmp_path, capsys, command,
+                                                               mode):
+    argv = [command, "--triples", str(tmp_path / "missing.txt"),
+            "--queries", str(tmp_path / "missing-queries.txt"), "--mode", mode]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: mode {mode!r} needs --schema\n"
+
+
 @pytest.mark.parametrize("strategy", ["exstr", "dfs"])
 def test_max_states_without_a_frontier_exits_2(painter_files, capsys, strategy):
     triples, queries, _ = painter_files

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import painter_query
-from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp, scan_views
+from rdftuner.algebra import NatJoin, Project, Rename, Scan, Select, UnionOp, eval_expr, scan_views
 from rdftuner.cost import CostWeights, Estimator
 from rdftuner.queries import ConjunctiveQuery, Const, QueryError, TripleAtom, Var, canonical_body_key
 from rdftuner.states import Rewriting, State, TransitionContext, initial_state, iter_transitions
 from rdftuner.stats import MissingStatisticError, collect_statistics
-from rdftuner.store import evaluate, load_triples
+from rdftuner.store import Relation, evaluate, load_triples
 from rdftuner.workload import WorkloadSpec, generate_workload, make_synthetic_store
 
 COST_TRIPLES = """
@@ -278,7 +278,7 @@ def test_a_join_cut_under_a_view_break_joins_back_to_the_view(est):
         joined = set(vb.state.views[0].head) & set(vb.state.views[1].head)
         for jc in iter_transitions(vb.state, ctx, kinds=("JC",)):
             views = {v.name: v for v in jc.state.views}
-            body, _, card, _, _ = est._walk(jc.state.rewritings[0].expr, views)
+            body, card, _, _ = est._walk(jc.state.rewritings[0].expr, views)
             assert canonical_body_key(ConjunctiveQuery("", (), body)) == form, jc.label
             assert card == rows, jc.label
             cut = Var(jc.label[jc.label.index("(") + 1 : -1])
@@ -412,7 +412,8 @@ def test_every_rewriting_walks_to_its_querys_body(shape, avf, seed, rng):
     """Costs cannot depend on the names transitions invent: the selection
     or rename above each scan of a cut view eliminates its fresh variable,
     so the walk of every rewriting derives at its root a body isomorphic to
-    its query's, with no F<i> in it, and the query's head as columns."""
+    its query's, with no F<i> in it.  Evaluated over empty relations of
+    the views it scans, every rewriting has the query's head as columns."""
     queries, store = synthetic_workload(seed, shape=shape)
     by_name = {q.name: q for q in queries}
     est = Estimator(collect_statistics(queries, store))
@@ -421,13 +422,14 @@ def test_every_rewriting_walks_to_its_querys_body(shape, avf, seed, rng):
         for held in [state, *(tr.state for tr in iter_transitions(state, ctx))]:
             views = {v.name: v for v in held.views}
             for r in held.rewritings:
-                body, columns, _, _, _ = est._walk(r.expr, views)
+                body = est._walk(r.expr, views)[0]
                 query = by_name[r.query_name]
                 assert canonical_body_key(ConjunctiveQuery("", (), body)) == (
                     canonical_body_key(query))
                 assert not [t for a in body for t in a.variables()
                             if re.fullmatch(r"F\d+", t.name)]
-                assert columns == query.head
+                empty = {n: Relation(n, views[n].head) for n in scan_views(r.expr)}
+                assert eval_expr(r.expr, empty).columns == query.head
 
 
 def test_the_rewriting_memo_lets_dropped_states_go():

@@ -232,6 +232,21 @@ def test_stop_var_suppressed_when_initial_is_all_variable():
     assert res.created > 1  # the condition held at the start, so it is ignored
 
 
+def test_stop_tt_suppressed_when_initial_holds_a_triple_table():
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    queries = [
+        ConjunctiveQuery("q1", (x, y, z), (TripleAtom(x, y, z),)),
+        ConjunctiveQuery("q2", (x, y), (TripleAtom(x, Const("p1"), y),
+                                        TripleAtom(y, Const("p2"), Const("r5")))),
+    ]
+    store = make_synthetic_store(400, seed=1)
+    plain, _ = run(queries, store, strategy="exstr")
+    stopped, _ = run(queries, store, strategy="exstr", stop_tt=True)
+    assert plain.created > 1
+    counters = ("created", "duplicates", "discarded", "explored", "transitions")
+    assert [getattr(stopped, c) for c in counters] == [getattr(plain, c) for c in counters]
+
+
 # ---------------------------------------------------------------------------
 # budgets
 

@@ -40,7 +40,7 @@ from rdftuner.queries import (
     is_connected,
     view_key,
 )
-from rdftuner.reasoning import parse_schema
+from rdftuner.reasoning import parse_schema, reformulate
 from rdftuner.states import (
     KINDS,
     Rewriting,
@@ -150,14 +150,10 @@ def test_initial_state_two_queries():
     assert len({v.name for v in s0.views}) == 2
 
 
-def test_initial_state_validation(gallery_schema):
+def test_initial_state_validation():
     ctx = TransitionContext()
     with pytest.raises(QueryError):
         initial_state([], ctx)
-    with pytest.raises(QueryError):
-        initial_state([painter_query()], ctx, mode="bogus")
-    with pytest.raises(QueryError):
-        initial_state([painter_query()], ctx, mode="pre", schema=None)
     # a disconnected body never becomes a view seed
     x, y = Var("X"), Var("Y")
     bad = ConjunctiveQuery(
@@ -173,7 +169,7 @@ def test_initial_state_pre_mode_unions(gallery_schema):
     q = ConjunctiveQuery(
         "q1", (x,), (TripleAtom(x, Const("rdf:type"), Const("picture")),)
     )
-    s0 = initial_state([q], TransitionContext(), mode="pre", schema=gallery_schema)
+    s0 = initial_state([reformulate(q, gallery_schema)], TransitionContext())
     # one view per member of the entailment-aware rewriting
     assert len(s0.views) == 2
     classes = {v.body[0].o.symbol for v in s0.views}
@@ -190,7 +186,7 @@ def test_initial_state_pre_mode_rejects_trifold_constants(gallery_schema):
     )
     # binding the property variable would leave an all-constant atom
     with pytest.raises(QueryError):
-        initial_state([q], TransitionContext(), mode="pre", schema=gallery_schema)
+        initial_state([reformulate(q, gallery_schema)], TransitionContext())
 
 
 def test_initial_state_pre_mode_rejects_disconnection(gallery_schema):
@@ -205,7 +201,7 @@ def test_initial_state_pre_mode_rejects_disconnection(gallery_schema):
     )
     # binding C to a class constant severs the only join
     with pytest.raises(QueryError):
-        initial_state([q], TransitionContext(), mode="pre", schema=gallery_schema)
+        initial_state([reformulate(q, gallery_schema)], TransitionContext())
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +688,7 @@ def test_pre_mode_walk_preserves_entailed_answers(gallery_schema):
     assert expected != frozenset(evaluate(q, store))
 
     ctx = TransitionContext()
-    state = initial_state([q], ctx, mode="pre", schema=gallery_schema)
+    state = initial_state([reformulate(q, gallery_schema)], ctx)
     rng = random.Random(5)
     for _step in range(4):
         relations = {v.name: materialize(v, store) for v in state.views}
